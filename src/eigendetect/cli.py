@@ -49,11 +49,12 @@ __all__ = ["main"]
 def parse_snr(text: str) -> float:
     """SNR flag value: linear (``0.01``) or dB-suffixed (``-20dB``)."""
     s = text.strip()
-    if s.lower().endswith("db"):
-        return 10.0 ** (float(s[:-2]) / 10.0)
-    value = float(s)
-    if value <= 0.0:
-        raise DomainError("snr must be positive (linear) or given in dB")
+    try:
+        value = 10.0 ** (float(s[:-2]) / 10.0) if s.lower().endswith("db") else float(s)
+    except (ValueError, OverflowError):
+        raise DomainError(f"bad snr {text!r}") from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError("snr must be positive and finite (linear) or given in dB")
     return value
 
 

@@ -20,7 +20,7 @@ spike eigenvalue t1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from .errors import DomainError, NotIdentifiableError, NumericError
 from .spiked import DetectorDesign, spike_from_snr
-from .tracy_widom import TracyWidomTable, default_table
+from .tracy_widom import default_table
 
 __all__ = [
     "EdgeLaw",
@@ -57,7 +57,6 @@ _QUAD_NODES = 256
 _SUPPORT_SIGMAS = 12.0       # denominator window half-width, in scale units
 _SELF_CHECK_TOL = 1e-8       # node-doubling agreement required at startup
 _CRITICAL_MARGIN = 1e-6      # refuse spikes within this relative margin of 1+sqrt(c)
-_BRACKET = (1.0, 100.0)      # threshold search interval
 _INVERT_TOL = 1e-6
 
 
@@ -118,70 +117,64 @@ class RatioLaw:
     numerator: EdgeLaw
     denominator: EdgeLaw
     t1: float | None = None
+    # built once, self-checked: denominator nodes x (ascending), weights w * f_den(x)
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _wx: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x, wx = self._rule(_QUAD_NODES)
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_wx", wx)
+        self._self_check()
+
+    def _rule(self, nodes: int):
+        """Gauss-Legendre nodes x and weights w * f_den(x) on the truncated window."""
+        center, s = self.denominator.center, self.denominator.sigma(self.design.N)
+        lo = max(0.0, center - _SUPPORT_SIGMAS * s)
+        hi = center + _SUPPORT_SIGMAS * s
+        u, w = _gauss_legendre(nodes)
+        x = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
+        wx = 0.5 * (hi - lo) * w * (default_table().pdf((center - x) / s) / s)
+        return x, wx
 
     # -- numerator CDF / PDF ------------------------------------------------
-    def _num_cdf(self, y, table: TracyWidomTable):
+    def _num_cdf(self, y):
         s = self.numerator.sigma(self.design.N)
         z = (np.asarray(y, float) - self.numerator.center) / s
         if self.numerator.kind == "gaussian":
             return ndtr(z)
-        return table.cdf(z)
+        return default_table().cdf(z)
 
-    def _num_pdf(self, y, table: TracyWidomTable):
+    def _num_pdf(self, y):
         s = self.numerator.sigma(self.design.N)
         z = (np.asarray(y, float) - self.numerator.center) / s
         if self.numerator.kind == "gaussian":
             return np.exp(-0.5 * z ** 2) / (s * math.sqrt(2.0 * math.pi))
-        return table.pdf(z) / s
+        return default_table().pdf(z) / s
 
-    # -- denominator density (lower edge, reflected Tracy-Widom) ------------
-    def _den_pdf(self, x, table: TracyWidomTable):
-        s = self.denominator.sigma(self.design.N)
-        z = (self.denominator.center - np.asarray(x, float)) / s
-        return table.pdf(z) / s
-
-    def _den_window(self) -> tuple[float, float]:
-        s = self.denominator.sigma(self.design.N)
-        lo = max(0.0, self.denominator.center - _SUPPORT_SIGMAS * s)
-        return lo, self.denominator.center + _SUPPORT_SIGMAS * s
-
-    def _quad(self, gamma, nodes: int, table: TracyWidomTable):
-        lo, hi = self._den_window()
-        u, w = _gauss_legendre(nodes)
-        x = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        wx = 0.5 * (hi - lo) * w * self._den_pdf(x, table)
-        g = np.atleast_1d(np.asarray(gamma, float))
-        vals = self._num_cdf(g[:, None] * x[None, :], table) @ wx
-        return vals
-
-    def cdf(self, gamma, table: TracyWidomTable | None = None):
+    def cdf(self, gamma):
         """F_T(gamma); zero for gamma <= 1 (eigenvalue ordering)."""
-        table = table or default_table()
         g = np.atleast_1d(np.asarray(gamma, float))
-        out = np.clip(self._quad(g, _QUAD_NODES, table), 0.0, 1.0)
+        out = np.clip(self._num_cdf(g[:, None] * self._x) @ self._wx, 0.0, 1.0)
         out[g <= 1.0] = 0.0
         return out if np.ndim(gamma) else float(out[0])
 
-    def pdf(self, t, table: TracyWidomTable | None = None):
+    def pdf(self, t):
         """Ratio density int_0^inf x f_num(t x) f_den(x) dx, for t > 1."""
-        table = table or default_table()
-        lo, hi = self._den_window()
-        u, w = _gauss_legendre(_QUAD_NODES)
-        x = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        wx = 0.5 * (hi - lo) * w * x * self._den_pdf(x, table)
         t_arr = np.atleast_1d(np.asarray(t, float))
-        out = self._num_pdf(t_arr[:, None] * x[None, :], table) @ wx
+        out = self._num_pdf(t_arr[:, None] * self._x) @ (self._x * self._wx)
         out[t_arr <= 1.0] = 0.0
         return out if np.ndim(t) else float(out[0])
 
     def center_ratio(self) -> float:
         return self.numerator.center / self.denominator.center
 
-    def _self_check(self, table: TracyWidomTable) -> None:
+    def _self_check(self) -> None:
         """Node-doubling consistency of the quadrature at a reference point."""
         g = self.center_ratio()
-        a = float(self._quad(g, _QUAD_NODES, table)[0])
-        b = float(self._quad(g, 2 * _QUAD_NODES, table)[0])
+        x2, wx2 = self._rule(2 * _QUAD_NODES)
+        a = float(self._num_cdf(g * self._x) @ self._wx)
+        b = float(self._num_cdf(g * x2) @ wx2)
         if abs(a - b) > _SELF_CHECK_TOL:
             raise NumericError(
                 f"ratio-law quadrature self-check failed: |{a!r} - {b!r}| > {_SELF_CHECK_TOL}"
@@ -209,19 +202,19 @@ def centering_constants(
 @lru_cache(maxsize=128)
 def _h0_law(design: DetectorDesign) -> RatioLaw:
     c = design.c
-    law = RatioLaw(
+    return RatioLaw(
         hypothesis="H0",
         design=design,
         numerator=EdgeLaw("tracy_widom", mu_plus(c), nu_plus(c), 2.0 / 3.0),
         denominator=EdgeLaw("tracy_widom", mu_minus(c), nu_minus(c), 2.0 / 3.0),
     )
-    law._self_check(default_table())
-    return law
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=128)
 def _h1_law(design: DetectorDesign, t1: float) -> RatioLaw:
     c = design.c
+    if not math.isfinite(t1):
+        raise DomainError(f"t1 must be finite, got {t1!r}")
     threshold = (1.0 + math.sqrt(c)) * (1.0 + _CRITICAL_MARGIN)
     if t1 < threshold:
         raise NotIdentifiableError(
@@ -229,15 +222,13 @@ def _h1_law(design: DetectorDesign, t1: float) -> RatioLaw:
             "the ratio statistic then follows the noise-only law (use hypothesis='H0')"
         )
     cp = design.c_prime
-    law = RatioLaw(
+    return RatioLaw(
         hypothesis="H1",
         design=design,
         numerator=EdgeLaw("gaussian", mu_spike(t1, c), nu_spike(t1, c), 0.5),
         denominator=EdgeLaw("tracy_widom", mu_minus(cp), nu_minus(cp), 2.0 / 3.0),
         t1=t1,
     )
-    law._self_check(default_table())
-    return law
 
 
 @lru_cache(maxsize=8)
@@ -250,46 +241,58 @@ def _gauss_legendre(n: int):
 
 def pfa(gamma: float, design: DetectorDesign) -> float:
     """False-alarm probability 1 - F_{T|H0}(gamma)."""
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("pfa: gamma must be >= 1 (T exceeds 1 by construction)")
     return 1.0 - _h0_law(design).cdf(gamma)
 
 
 def pmd(gamma: float, design: DetectorDesign, t1: float) -> float:
     """Missed-detection probability F_{T|H1}(gamma) for a spike t1."""
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise DomainError("pmd: gamma must be >= 1 (T exceeds 1 by construction)")
     return float(_h1_law(design, float(t1)).cdf(gamma))
 
 
-def _invert(fun, target: float) -> float:
-    lo, hi = _BRACKET
-    f_lo = fun(lo) - target
-    f_hi = fun(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0.0:
+def _invert(law: RatioLaw, level: float) -> float:
+    """gamma in [1, gamma_sat] with law.cdf(gamma) = level, for 0 < level < 1.
+
+    F_T(1) = 0.  Past gamma_sat every node x >= x_min puts gamma x at least
+    _SUPPORT_SIGMAS numerator scales above its center, where the numerator
+    CDF is exactly 1, so F_T has reached its full quadrature mass.
+    """
+    num = law.numerator
+    g_sat = (num.center + _SUPPORT_SIGMAS * num.sigma(law.design.N)) / law._x[0]
+    top = law.cdf(g_sat)
+    if level > top:
         raise DomainError(
-            f"target {target!r} not reachable inside the threshold bracket {_BRACKET}"
+            f"target out of reach: the {law.hypothesis} ratio CDF only covers [0, {top!r}]; "
+            f"its truncated quadrature window holds all but {1.0 - top:.3g} of the law's mass"
         )
-    root = brentq(lambda g: fun(g) - target, lo, hi, xtol=1e-10, rtol=1e-14)
-    if abs(fun(root) - target) > _INVERT_TOL:
+    root = brentq(lambda g: law.cdf(g) - level, 1.0, g_sat, xtol=1e-10, rtol=1e-14)
+    if abs(law.cdf(root) - level) > _INVERT_TOL:
         raise NumericError("threshold inversion did not meet the 1e-6 residual bound")
     return float(root)
 
 
 def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
-    """gamma such that pfa(gamma) = target (to 1e-6)."""
+    """gamma such that pfa(gamma) = target (to 1e-6).
+
+    A target below the H0 law's truncated mass (1.5e-11 at K=50, N=1000) raises
+    DomainError; from about c = 0.85 on, the law's self-check raises NumericError.
+    """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pfa: target must lie in (0, 1)")
-    return _invert(lambda g: pfa(g, design), target)
+    return _invert(_h0_law(design), 1.0 - target)
 
 
 def threshold_from_pmd(target: float, design: DetectorDesign, t1: float) -> float:
-    """gamma such that pmd(gamma, t1) = target (to 1e-6)."""
+    """gamma such that pmd(gamma, t1) = target (to 1e-6).
+
+    A target above the H1 law's quadrature mass raises DomainError.
+    """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pmd: target must lie in (0, 1)")
-    return _invert(lambda g: pmd(g, design, t1), target)
+    return _invert(_h1_law(design, float(t1)), target)
 
 
 def roc(design: DetectorDesign, t1: float, pfa_grid) -> list[tuple[float, float]]:

@@ -156,8 +156,6 @@ def gen_channel(K: int, P: int, target_snr: float, sigma_v2: float, seed: int) -
         raise DomainError("gen_channel: sigma_v2 must be > 0")
     g = SeededStream(seed).standard_complex_normal((K, P))
     fro2 = float(np.sum(np.abs(g) ** 2))
-    if fro2 == 0.0:  # probability-zero draw
-        return gen_channel(K, P, target_snr, sigma_v2, (int(seed) + 1) & (2 ** 64 - 1))
     return g * math.sqrt(target_snr * K * sigma_v2 / fro2)
 
 
@@ -192,10 +190,6 @@ def scenario_from_component_snrs(
     P = snrs.shape[0]
     g = SeededStream(seed).standard_complex_normal((K, P))
     norms2 = np.sum(np.abs(g) ** 2, axis=0)
-    if np.any(norms2 == 0.0):
-        return scenario_from_component_snrs(
-            K, snrs, sigma_v2, modulation, (int(seed) + 1) & (2 ** 64 - 1)
-        )
     H = g * np.sqrt(snrs * K * sigma_v2 / norms2)[None, :]
     return Scenario(H, np.ones(P), sigma_v2, modulation)
 

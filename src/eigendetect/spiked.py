@@ -133,10 +133,6 @@ class Scenario:
     def P(self) -> int:
         return self.H.shape[1]
 
-    def scaled_noise(self, sigma_v2: float) -> "Scenario":
-        """Same scenario with a different noise floor (channel and powers kept)."""
-        return Scenario(self.H, self.sigma2, sigma_v2, self.modulation)
-
 
 @dataclass(frozen=True)
 class SpikeSpectrum:
@@ -259,19 +255,22 @@ def critical_snr(design, n: int | None = None) -> float:
         K, N = int(design), int(n)
         if K < 1 or N < 1:
             raise DomainError("critical_snr: K and N must be positive")
-    return 1.0 / math.sqrt(K * N)
+    try:
+        return 1.0 / math.sqrt(K * N)
+    except OverflowError:
+        raise DomainError("critical_snr: K * N exceeds the floating-point range") from None
 
 
 def min_samples(K: int, rho: float) -> int:
     """Smallest N making a single source of SNR rho identifiable."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError("min_samples: rho must be > 0")
     if K < 1:
         raise DomainError("min_samples: K must be positive")
-    bound = 1.0 / (K * rho * rho)
-    if bound >= 2 ** 62:
+    denom = K * rho * rho
+    if denom <= 2.0 ** -62:  # 1 / denom >= 2**62, or rho * rho underflowed
         raise DomainError("min_samples: required sample count out of range")
-    return int(math.floor(bound)) + 1
+    return int(math.floor(1.0 / denom)) + 1
 
 
 def scenario_from_json(source) -> tuple[Scenario, DetectorDesign]:

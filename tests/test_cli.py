@@ -212,3 +212,33 @@ def test_tw_table_dump(tmp_path, capsys):
 def test_io_failure_exit_code(capsys):
     rc, _, err = run_cli(capsys, "tw-table", "--out", "/nonexistent-dir/tw.csv")
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pfa", "--k", "50", "--n", "1000", "--gamma", "nan"),
+        ("pmd", "--k", "50", "--n", "1000", "--gamma", "2.5", "--t1", "inf"),
+        ("threshold", "--k", "50", "--n", "1000", "--pfa", "0.01", "--snr", "nan"),
+        ("identify", "--k", "50", "--snr", "nan"),
+        ("identify", "--k", "50", "--snr", "infdB"),
+        ("identify", "--k", "50", "--snr", "4000dB"),
+        ("identify", "--k", "50", "--snr", "abc"),
+        ("identify", "--k", "50", "--snr", "1e-300"),
+        ("identify", "--k", "50", "--n", "1" + "0" * 309),
+        ("threshold", "--k", "50", "--n", "1000", "--pfa", "1e-11"),
+    ],
+)
+def test_bad_numbers_exit_2_without_nan(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "nan" not in out
+
+
+def test_threshold_high_aspect_ratio(capsys):
+    rc, out, _ = run_cli(capsys, "threshold", "--k", "700", "--n", "1000", "--pfa", "0.01")
+    assert rc == 0
+    gamma = float(parse_kv(out)["gamma"])
+    assert np.isfinite(gamma)
+    assert abs(pfa(gamma, DetectorDesign(700, 1000)) - 0.01) <= 1e-6

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eigendetect.errors import DomainError, NotIdentifiableError
+from eigendetect.errors import DomainError, NotIdentifiableError, NumericError
 from eigendetect.performance import (
     EdgeLaw,
     build_lut,
@@ -100,18 +100,13 @@ def test_error_probabilities_monotone_on_grid():
 
 
 def test_component_densities_normalized_inside_quadrature():
-    from eigendetect.tracy_widom import default_table
-
-    tab = default_table()
     for law in (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=2.0)):
-        lo, hi = law._den_window()
-        xs = np.linspace(lo, hi, 20001)
-        den_mass = np.trapezoid(law._den_pdf(xs, tab), xs)
-        assert abs(den_mass - 1.0) <= 1e-6
+        # the denominator rule's weights w * f_den(x) carry the density mass
+        assert abs(float(np.sum(law._wx)) - 1.0) <= 1e-6
         n = law.numerator
         s = n.sigma(D50.N)
         ys = np.linspace(n.center - 12 * s, n.center + 12 * s, 20001)
-        num_mass = np.trapezoid(law._num_pdf(ys, tab), ys)
+        num_mass = np.trapezoid(law._num_pdf(ys), ys)
         assert abs(num_mass - 1.0) <= 1e-6
 
 
@@ -192,6 +187,30 @@ def test_threshold_rejects_bad_targets():
         threshold_from_pmd(-0.1, D50, 2.0)
 
 
+@pytest.mark.parametrize("N", [100, 1000])
+def test_threshold_range_sweeps_aspect_ratio(N):
+    # every (c, P_fa) either inverts to the 1e-6 residual or raises a typed
+    # error, and every case up to c = 0.8 inverts
+    for c in np.linspace(0.05, 0.95, 19):
+        d = DetectorDesign(max(2, round(c * N)), N)
+        for p in (0.1, 1e-2, 1e-4, 1e-6):
+            try:
+                g = threshold_from_pfa(p, d)
+            except (DomainError, NumericError):
+                assert d.c > 0.8
+                continue
+            assert g > 1.0 and abs(pfa(g, d) - p) <= 1e-6
+
+
+def test_threshold_beyond_truncated_mass_raises():
+    law = centering_constants(D50, "H0")
+    lost = 1.0 - law.cdf(1e6)
+    assert 1e-11 < lost < 1e-6
+    with pytest.raises(DomainError, match=f"all but {lost:.3g} of the law's mass"):
+        threshold_from_pfa(1e-11, D50)
+    assert threshold_from_pfa(2 * lost, D50) > 1.0
+
+
 def test_threshold_independent_of_everything_but_geometry():
     assert threshold_from_pfa(0.01, D50) == threshold_from_pfa(0.01, DetectorDesign(50, 1000, 1))
 
@@ -268,13 +287,12 @@ def test_roc_csv_format(tmp_path):
 # --- quadrature internals ---------------------------------------------------------
 
 def test_quadrature_node_doubling_agreement():
-    from eigendetect.tracy_widom import default_table
-
-    tab = default_table()
     for law in (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=1.5)):
         g = law.center_ratio()
-        a = float(law._quad(np.array([g]), 256, tab)[0])
-        b = float(law._quad(np.array([g]), 512, tab)[0])
+        x2, wx2 = law._rule(512)
+        assert law._x.size == 256
+        a = law.cdf(g)
+        b = float(law._num_cdf(g * x2) @ wx2)
         assert abs(a - b) < 1e-8
 
 

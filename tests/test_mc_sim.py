@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from eigendetect.errors import DomainError
+from eigendetect.errors import DomainError, NumericError
 from eigendetect.rng import SeededStream
 from eigendetect.simulate import (
     EmpiricalCdf,
     NOISE_TAG,
+    _RETRY_TAG,
+    _one_trial,
     dump_batch_csv,
     dump_cdf_comparison_csv,
     gen_channel,
@@ -209,6 +211,48 @@ def test_batch_scenario_design_mismatch():
     sc = scenario_from_snr(10, 0.5, seed=3)
     with pytest.raises(DomainError):
         run_trials(DetectorDesign(12, 100, 1), sc, trials=5, seed=0)
+
+
+def _flaky_eigvalsh(monkeypatch, failing_calls):
+    """Make np.linalg.eigvalsh raise LinAlgError on the given 1-based calls."""
+    real = np.linalg.eigvalsh
+    calls = [0]
+
+    def flaky(a):
+        calls[0] += 1
+        if calls[0] in failing_calls:
+            raise np.linalg.LinAlgError("injected eigensolver failure")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+
+
+def test_batch_retries_a_failed_eigensolve(monkeypatch):
+    d = DetectorDesign(8, 64, 1)
+    clean = run_trials(d, None, trials=10, seed=21)
+    batches = []
+    for _ in range(2):
+        _flaky_eigvalsh(monkeypatch, {4})  # the first attempt of trial 3
+        batches.append(run_trials(d, None, trials=10, seed=21))
+        monkeypatch.undo()
+    a, b = batches
+    assert np.array_equal(a.t_stat, b.t_stat)
+    # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
+    lo, hi = _one_trial(d, None, trial_seed(21, 3) ^ _RETRY_TAG, 1.0, False, None)
+    assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
+    assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
+    others = np.arange(10) != 3
+    assert np.array_equal(a.t_stat[others], clean.t_stat[others])
+
+
+@pytest.mark.parametrize(
+    "failing_calls",
+    [{1, 3}, {1, 2}],  # two failed trials (more than max(1, 10 // 1000)); a failed retry
+)
+def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
+    _flaky_eigvalsh(monkeypatch, failing_calls)
+    with pytest.raises(NumericError, match="eigensolver failed"):
+        run_trials(DetectorDesign(8, 64, 1), None, trials=10, seed=21)
 
 
 # --- eigensolver dual route ---------------------------------------------------
