@@ -9,7 +9,6 @@ seeded Monte Carlo harness that validates every formula empirically.
 from .errors import DomainError, EigendetectError, NotIdentifiableError, NumericError
 from .performance import (
     RatioLaw,
-    ThresholdTable,
     build_lut,
     centering_constants,
     mu_minus,

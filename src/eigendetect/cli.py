@@ -63,12 +63,14 @@ def parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"bad grid {text!r}; expected lo:hi:count[log|lin]")
-    lo, hi = float(parts[0]), float(parts[1])
     tail = parts[2]
     spacing = "lin"
     if tail.endswith(("log", "lin")):
         spacing, tail = tail[-3:], tail[:-3]
-    count = int(tail)
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(tail)
+    except ValueError:
+        raise DomainError(f"bad grid {text!r}; expected lo:hi:count[log|lin]") from None
     if count < 1 or lo >= hi:
         raise DomainError(f"bad grid {text!r}")
     if spacing == "log":
@@ -78,24 +80,18 @@ def parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",") if v]
+def _parse_list(text: str, kind) -> list:
+    """Comma list of ``kind`` values, e.g. ``20,50,100``."""
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        raise DomainError(f"bad list {text!r}; expected comma-separated {kind.__name__}s") from None
 
 
-def _parse_float_list(text: str):
-    return [float(v) for v in text.split(",") if v]
-
-
-def _check_prob(value: float, name: str) -> float:
-    if not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie in (0,1)")
-    return value
-
-
-def _design(args, P: int = 1) -> DetectorDesign:
+def _design(args) -> DetectorDesign:
     if args.k is None or args.n is None:
         raise DomainError("--k and --n are required")
-    return DetectorDesign(K=args.k, N=args.n, P=P)
+    return DetectorDesign(K=args.k, N=args.n)
 
 
 def _h1_inputs(args, allow_none=False):
@@ -103,7 +99,7 @@ def _h1_inputs(args, allow_none=False):
     given = [x is not None for x in (args.snr, args.t1, args.scenario)]
     if sum(given) == 0:
         if allow_none:
-            return None, None, None
+            return None, _design(args), None
         raise DomainError("exactly one of --snr, --t1, --scenario is required")
     if sum(given) > 1:
         raise DomainError("supply only one of --snr, --t1, --scenario")
@@ -123,11 +119,8 @@ def _h1_inputs(args, allow_none=False):
 
 
 def cmd_threshold(args) -> int:
-    target = _check_prob(args.pfa, "pfa")
     scenario, design, t1 = _h1_inputs(args, allow_none=True)
-    if design is None:
-        design = _design(args)
-    gamma = threshold_from_pfa(target, design)
+    gamma = threshold_from_pfa(args.pfa, design)
     print("gamma %.10g" % gamma)
     if t1 is not None:
         print("pmd %.10g" % pmd(gamma, design, t1))
@@ -166,40 +159,30 @@ def cmd_identify(args) -> int:
 
 def cmd_roc(args) -> int:
     _, design, t1 = _h1_inputs(args)
-    grid = parse_grid(args.pfa_grid)
-    for p in grid:
-        _check_prob(float(p), "pfa grid value")
-    points = roc(design, t1, grid)
+    points = roc(design, t1, parse_grid(args.pfa_grid))
+    write_roc_csv(args.out or sys.stdout, points)
     if args.out:
-        write_roc_csv(args.out, points)
         print("wrote %s (%d rows)" % (args.out, len(points)))
-    else:
-        print("pfa,pmd")
-        for p, q in points:
-            print("%.10g,%.10g" % (p, q))
     return 0
 
 
 def cmd_lut(args) -> int:
-    k_list = _parse_int_list(args.k_list)
-    n_list = _parse_int_list(args.n_list)
-    pfa_list = [_check_prob(p, "pfa") for p in _parse_float_list(args.pfa_list)]
     snr = parse_snr(args.snr) if args.snr is not None else None
-    table = build_lut(k_list, n_list, pfa_list, snr=snr)
+    rows = build_lut(_parse_list(args.k_list, int), _parse_list(args.n_list, int),
+                     _parse_list(args.pfa_list, float), snr=snr)
+    failed = [r for r in rows if r.error is not None]
+    write_lut_csv(args.out or sys.stdout, rows)
     if args.out:
-        write_lut_csv(args.out, table)
-        print("wrote %s (%d rows)" % (args.out, len(table.rows)))
-    else:
-        print("K,N,pfa,gamma")
-        for r in table.rows:
-            print("%d,%d,%.10g,%.10g" % (r.K, r.N, r.pfa, r.gamma))
-    return 0
+        print("wrote %s (%d rows)" % (args.out, len(rows) - len(failed)))
+    for r in failed:
+        print(f"error: K={r.K} N={r.N} pfa={r.pfa:.10g}: {r.error}", file=sys.stderr)
+    if not failed:
+        return 0
+    return 2 if any(isinstance(r.error, DomainError) for r in failed) else 4
 
 
 def cmd_simulate(args) -> int:
     scenario, design, t1 = _h1_inputs(args, allow_none=True)
-    if design is None:
-        design = _design(args)
     if scenario is None and t1 is not None:
         # --snr/--t1 shortcut: draw a single-source channel from the seed
         rho = (t1 - 1.0) / design.K

@@ -27,14 +27,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .errors import DomainError, NotIdentifiableError, NumericError
+from .errors import DomainError, EigendetectError, NotIdentifiableError, NumericError
 from .spiked import DetectorDesign, spike_from_snr
 from .tracy_widom import default_table
 
 __all__ = [
     "EdgeLaw",
     "RatioLaw",
-    "ThresholdTable",
     "LutRow",
     "mu_plus",
     "mu_minus",
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 _QUAD_NODES = 256
-_SUPPORT_SIGMAS = 12.0       # denominator window half-width, in scale units
+_SUPPORT_SIGMAS = 12.0       # numerator scales past which its CDF is exactly 1
 _SELF_CHECK_TOL = 1e-8       # node-doubling agreement required at startup
 _CRITICAL_MARGIN = 1e-6      # refuse spikes within this relative margin of 1+sqrt(c)
 _INVERT_TOL = 1e-6
@@ -128,13 +127,15 @@ class RatioLaw:
         self._self_check()
 
     def _rule(self, nodes: int):
-        """Gauss-Legendre nodes x and weights w * f_den(x) on the truncated window."""
+        """Gauss-Legendre nodes x and weights w * f_den(x) on the Tracy-Widom table's
+        grid mapped to x (clipped at x >= 0): off it the table pdf, f_den, is 0."""
+        table = default_table()
         center, s = self.denominator.center, self.denominator.sigma(self.design.N)
-        lo = max(0.0, center - _SUPPORT_SIGMAS * s)
-        hi = center + _SUPPORT_SIGMAS * s
+        lo = max(0.0, center - table.grid[-1] * s)
+        hi = center - table.grid[0] * s
         u, w = _gauss_legendre(nodes)
         x = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        wx = 0.5 * (hi - lo) * w * (default_table().pdf((center - x) / s) / s)
+        wx = 0.5 * (hi - lo) * w * (table.pdf((center - x) / s) / s)
         return x, wx
 
     # -- numerator CDF / PDF ------------------------------------------------
@@ -221,11 +222,15 @@ def _h1_law(design: DetectorDesign, t1: float) -> RatioLaw:
             f"t1={t1:.6g} does not clear the phase transition 1+sqrt(c)={1 + math.sqrt(c):.6g}; "
             "the ratio statistic then follows the noise-only law (use hypothesis='H0')"
         )
+    try:
+        numerator = EdgeLaw("gaussian", mu_spike(t1, c), nu_spike(t1, c), 0.5)
+    except OverflowError:
+        raise DomainError(f"t1={t1:.6g} is too large: (t1-1)^2 overflows") from None
     cp = design.c_prime
     return RatioLaw(
         hypothesis="H1",
         design=design,
-        numerator=EdgeLaw("gaussian", mu_spike(t1, c), nu_spike(t1, c), 0.5),
+        numerator=numerator,
         denominator=EdgeLaw("tracy_widom", mu_minus(cp), nu_minus(cp), 2.0 / 3.0),
         t1=t1,
     )
@@ -277,11 +282,12 @@ def _invert(law: RatioLaw, level: float) -> float:
 def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
     """gamma such that pfa(gamma) = target (to 1e-6).
 
-    A target below the H0 law's truncated mass (1.5e-11 at K=50, N=1000) raises
-    DomainError; from about c = 0.85 on, the law's self-check raises NumericError.
+    A target below the H0 law's truncated mass (2.2e-12 at K=50, N=1000) raises
+    DomainError; every c <= 0.9 at N=1000 inverts, and at c = 0.95 the law's
+    self-check raises NumericError.
     """
     if not 0.0 < target < 1.0:
-        raise DomainError("threshold_from_pfa: target must lie in (0, 1)")
+        raise DomainError("threshold_from_pfa: pfa must lie in (0,1)")
     return _invert(_h0_law(design), 1.0 - target)
 
 
@@ -299,8 +305,6 @@ def roc(design: DetectorDesign, t1: float, pfa_grid) -> list[tuple[float, float]
     """Missed-detection probability at the threshold of each target P_fa."""
     out = []
     for p in pfa_grid:
-        if not 0.0 < p < 1.0:
-            raise DomainError("roc: grid values must lie in (0, 1)")
         gamma = threshold_from_pfa(p, design)
         out.append((float(p), pmd(gamma, design, t1)))
     return out
@@ -314,25 +318,15 @@ class LutRow:
     gamma: float = math.nan
     snr: float | None = None
     pmd: float | None = None
-    error: str | None = None
+    error: EigendetectError | None = None  # what a failed cell raised
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
-    """Threshold lookup table over a (K, N, P_fa) grid."""
-
-    rows: tuple[LutRow, ...]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
-def build_lut(k_list, n_list, pfa_list, snr: float | None = None) -> ThresholdTable:
+def build_lut(k_list, n_list, pfa_list, snr: float | None = None) -> tuple[LutRow, ...]:
     """Thresholds for every (K, N, P_fa) combination, sorted.
 
     With an SNR supplied, each row also records the single-source
     missed-detection probability at its threshold.  Rows whose
-    computation fails carry an error marker instead of aborting the
+    computation fails carry the exception instead of aborting the
     rest of the table.
     """
     if not (len(k_list) and len(n_list) and len(pfa_list)):
@@ -352,25 +346,30 @@ def build_lut(k_list, n_list, pfa_list, snr: float | None = None) -> ThresholdTa
                             LutRow(K, N, p, gamma, snr=snr, pmd=pmd(gamma, design, t1))
                         )
                 except (DomainError, NumericError) as exc:
-                    rows.append(LutRow(K, N, p, snr=snr, error=str(exc)))
-    return ThresholdTable(rows=tuple(rows))
+                    rows.append(LutRow(K, N, p, snr=snr, error=exc))
+    return tuple(rows)
 
 
-def write_lut_csv(path, table: ThresholdTable) -> None:
-    """CSV header ``K,N,pfa,gamma[,snr,pmd]``; failed rows carry nan."""
-    with_snr = any(r.snr is not None for r in table.rows)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("K,N,pfa,gamma,snr,pmd\n" if with_snr else "K,N,pfa,gamma\n")
-        for r in table.rows:
-            cells = ["%d" % r.K, "%d" % r.N, "%.10g" % r.pfa, "%.10g" % r.gamma]
-            if with_snr:
-                cells.append("%.10g" % (math.nan if r.snr is None else r.snr))
-                cells.append("%.10g" % (math.nan if r.pmd is None else r.pmd))
-            fh.write(",".join(cells) + "\n")
+def _write_lines(dest, lines) -> None:
+    """Write text lines to a path or to an open text stream."""
+    if hasattr(dest, "write"):
+        dest.writelines(lines)
+        return
+    with open(dest, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
 
 
-def write_roc_csv(path, points) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("pfa,pmd\n")
-        for p, q in points:
-            fh.write("%.10g,%.10g\n" % (p, q))
+def write_lut_csv(dest, rows) -> None:
+    """CSV header ``K,N,pfa,gamma[,snr,pmd]`` to a path or text stream; failed rows are left out."""
+    with_snr = any(r.snr is not None for r in rows)
+    lines = ["K,N,pfa,gamma,snr,pmd\n" if with_snr else "K,N,pfa,gamma\n"]
+    for r in rows:
+        if r.error is None:
+            cells = "%d,%d,%.10g,%.10g" % (r.K, r.N, r.pfa, r.gamma)
+            lines.append(cells + (",%.10g,%.10g\n" % (r.snr, r.pmd) if with_snr else "\n"))
+    _write_lines(dest, lines)
+
+
+def write_roc_csv(dest, points) -> None:
+    """CSV header ``pfa,pmd`` to a path or text stream."""
+    _write_lines(dest, ["pfa,pmd\n"] + ["%.10g,%.10g\n" % (p, q) for p, q in points])

@@ -311,15 +311,22 @@ class EmpiricalCdf:
 
 
 def ks_distance(batch, cdf) -> float:
-    """Sup over the sample points of |empirical CDF - analytical CDF|."""
+    """Kolmogorov-Smirnov statistic sup_x |empirical CDF - analytical CDF|.
+
+    The empirical CDF steps from (i-1)/n to i/n at the i-th order statistic
+    x_i, so the sup is the larger of D+ = max(i/n - F(x_i)) and
+    D- = max(F(x_i-) - (i-1)/n).  F(x_i-) is taken one ulp below x_i: for a
+    continuous F that is F(x_i), and a step F keeps its left limit.
+    """
     values = batch.t_stat if isinstance(batch, TrialBatch) else np.asarray(batch, float)
     n = values.size
     if n < 100:
         raise DomainError("ks_distance: at least 100 samples required")
     xs = np.sort(values)
-    emp = np.arange(1, n + 1) / n
-    ana = np.asarray(cdf(xs), dtype=float)
-    return float(np.max(np.abs(emp - ana)))
+    steps = np.arange(n + 1) / n
+    d_plus = np.max(steps[1:] - np.asarray(cdf(xs), dtype=float))
+    d_minus = np.max(np.asarray(cdf(np.nextafter(xs, -np.inf)), dtype=float) - steps[:-1])
+    return float(max(d_plus, d_minus))
 
 
 def dump_batch_csv(path, batch: TrialBatch) -> None:

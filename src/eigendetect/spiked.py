@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -70,8 +71,8 @@ class DetectorDesign:
     P: int = 1
 
     def __post_init__(self):
-        if self.K < 1 or self.N < 1:
-            raise DomainError("DetectorDesign: K and N must be positive")
+        if not (self.K >= 1 and 1 <= self.N <= sys.float_info.max):
+            raise DomainError("DetectorDesign: K and N must be positive, N within float range")
         if self.K >= self.N:
             raise DomainError("DetectorDesign: K < N required (aspect ratio c in (0,1))")
         if not 1 <= self.P < self.K:
@@ -265,8 +266,8 @@ def min_samples(K: int, rho: float) -> int:
     """Smallest N making a single source of SNR rho identifiable."""
     if not rho > 0.0:
         raise DomainError("min_samples: rho must be > 0")
-    if K < 1:
-        raise DomainError("min_samples: K must be positive")
+    if not 1 <= K <= sys.float_info.max:
+        raise DomainError("min_samples: K must be positive and within float range")
     denom = K * rho * rho
     if denom <= 2.0 ** -62:  # 1 / denom >= 2**62, or rho * rho underflowed
         raise DomainError("min_samples: required sample count out of range")
@@ -284,6 +285,17 @@ def scenario_from_json(source) -> tuple[Scenario, DetectorDesign]:
       which uses the canonical all-ones channel with the power chosen to
       realize the requested SNR exactly.
     """
+    try:
+        return _read_scenario(source)
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise DomainError(f"scenario JSON: missing field {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise DomainError(f"scenario JSON: malformed input ({exc})") from None
+
+
+def _read_scenario(source) -> tuple[Scenario, DetectorDesign]:
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -292,11 +304,8 @@ def scenario_from_json(source) -> tuple[Scenario, DetectorDesign]:
     else:
         doc = dict(source)
 
-    try:
-        K = int(doc["K"])
-        N = int(doc["N"])
-    except KeyError as exc:
-        raise DomainError(f"scenario JSON: missing field {exc}") from None
+    K = int(doc["K"])
+    N = int(doc["N"])
     sigma_v2 = float(doc.get("sigma_v2", 1.0))
     modulation = _as_modulation(doc.get("modulation", "gaussian"))
 
@@ -307,8 +316,8 @@ def scenario_from_json(source) -> tuple[Scenario, DetectorDesign]:
 
     if has_snr:
         rho = float(doc["snr"])
-        if rho <= 0.0:
-            raise DomainError("scenario JSON: snr must be > 0")
+        if not 0.0 < rho < math.inf:
+            raise DomainError("scenario JSON: snr must be positive and finite")
         H = np.ones((K, 1), dtype=complex)
         sigma2 = np.array([rho * sigma_v2])  # ||h||^2 = K cancels the 1/K
         scenario = Scenario(H, sigma2, sigma_v2, modulation)

@@ -157,6 +157,40 @@ def test_lut_csv(tmp_path, capsys):
         assert np.all(np.diff(block[:, 3]) < 0.0)  # gamma descending
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roc", "--k", "50", "--n", "1000", "--snr", "-10dB", "--pfa-grid", "0.001:0.5:8log"),
+        ("lut", "--k", "20,50", "--n", "1000", "--pfa", "0.1,0.01"),
+        ("lut", "--k", "20,50", "--n", "1000", "--pfa", "0.1,0.01", "--snr", "-20dB"),
+    ],
+)
+def test_table_stdout_matches_out_file(tmp_path, capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    path = tmp_path / "table.csv"
+    rc, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert rc == 0
+    assert out == path.read_text()
+    if "--snr" in argv and argv[0] == "lut":
+        assert out.splitlines()[0] == "K,N,pfa,gamma,snr,pmd"
+
+
+def test_lut_failed_cells_named_on_stderr(capsys):
+    # (2, 7) cannot reach P_fa = 1e-5 (DomainError); (950, 1000) fails the
+    # law's self-check (NumericError); the good cell is still printed
+    rc, out, err = run_cli(capsys, "lut", "--k", "2,950", "--n", "7,1000", "--pfa", "1e-5")
+    assert rc == 2
+    assert out.splitlines()[0] == "K,N,pfa,gamma" and len(out.splitlines()) == 2
+    assert out.splitlines()[1].startswith("2,1000,1e-05,")
+    lines = err.splitlines()
+    assert lines[0].startswith("error: K=2 N=7 pfa=1e-05: ")
+    assert any(ln.startswith("error: K=950 N=1000 pfa=1e-05: ") for ln in lines)
+    rc, out, err = run_cli(capsys, "lut", "--k", "950", "--n", "1000", "--pfa", "0.01")
+    assert rc == 4
+    assert out == "K,N,pfa,gamma\n" and err.startswith("error: K=950 N=1000 pfa=0.01: ")
+
+
 # --- simulate ---------------------------------------------------------------------------
 
 def test_simulate_h0_outputs_and_determinism(tmp_path, capsys):
@@ -226,7 +260,13 @@ def test_io_failure_exit_code(capsys):
         ("identify", "--k", "50", "--snr", "abc"),
         ("identify", "--k", "50", "--snr", "1e-300"),
         ("identify", "--k", "50", "--n", "1" + "0" * 309),
-        ("threshold", "--k", "50", "--n", "1000", "--pfa", "1e-11"),
+        ("threshold", "--k", "50", "--n", "1000", "--pfa", "1e-12"),
+        ("pmd", "--k", "50", "--n", "1000", "--gamma", "2.5", "--t1", "1e200"),
+        ("threshold", "--k", "50", "--n", "1000", "--pfa", "0.01", "--snr", "2000dB"),
+        ("lut", "--k", "2,abc", "--n", "1000", "--pfa", "0.01"),
+        ("lut", "--k", "2", "--n", "7", "--pfa", "1e-5"),
+        ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid", "0.001:0.5:3xyz"),
+        ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid", "0.001:0.5:3:4"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

@@ -190,14 +190,18 @@ def test_threshold_rejects_bad_targets():
 @pytest.mark.parametrize("N", [100, 1000])
 def test_threshold_range_sweeps_aspect_ratio(N):
     # every (c, P_fa) either inverts to the 1e-6 residual or raises a typed
-    # error, and every case up to c = 0.8 inverts
+    # error, every case up to c = 0.85 inverts, and only c > 0.9 may fail
+    # the quadrature self-check
     for c in np.linspace(0.05, 0.95, 19):
         d = DetectorDesign(max(2, round(c * N)), N)
         for p in (0.1, 1e-2, 1e-4, 1e-6):
             try:
                 g = threshold_from_pfa(p, d)
-            except (DomainError, NumericError):
-                assert d.c > 0.8
+            except NumericError:
+                assert d.c > 0.9
+                continue
+            except DomainError:
+                assert d.c > 0.85
                 continue
             assert g > 1.0 and abs(pfa(g, d) - p) <= 1e-6
 
@@ -205,9 +209,9 @@ def test_threshold_range_sweeps_aspect_ratio(N):
 def test_threshold_beyond_truncated_mass_raises():
     law = centering_constants(D50, "H0")
     lost = 1.0 - law.cdf(1e6)
-    assert 1e-11 < lost < 1e-6
+    assert 1e-12 < lost < 1e-6
     with pytest.raises(DomainError, match=f"all but {lost:.3g} of the law's mass"):
-        threshold_from_pfa(1e-11, D50)
+        threshold_from_pfa(lost / 2, D50)
     assert threshold_from_pfa(2 * lost, D50) > 1.0
 
 
@@ -232,8 +236,8 @@ def test_roc_high_snr_regime_nearly_ideal():
 
 def test_lut_single_cell_matches_direct_call():
     table = build_lut([50], [1000], [0.01])
-    assert len(table.rows) == 1
-    assert table.rows[0].gamma == threshold_from_pfa(0.01, D50)
+    assert len(table) == 1
+    assert table[0].gamma == threshold_from_pfa(0.01, D50)
 
 
 def test_lut_grid_ordering_and_monotonicity():
@@ -249,7 +253,7 @@ def test_lut_grid_ordering_and_monotonicity():
 
 def test_lut_with_snr_records_pmd():
     table = build_lut([50], [1000], [0.01], snr=0.04)
-    row = table.rows[0]
+    row = table[0]
     assert row.snr == 0.04
     assert row.pmd == pytest.approx(pmd(row.gamma, D50, 3.0), rel=1e-12)
 
@@ -257,8 +261,8 @@ def test_lut_with_snr_records_pmd():
 def test_lut_row_failure_marker():
     # the small-K design is not identifiable at this SNR; its row carries the error
     table = build_lut([50, 4], [1000], [0.01], snr=0.01)
-    errors = [r for r in table.rows if r.error is not None]
-    good = [r for r in table.rows if r.error is None]
+    errors = [r for r in table if r.error is not None]
+    good = [r for r in table if r.error is None]
     assert len(errors) == 1 and len(good) == 1
     assert math.isnan(errors[0].gamma)
 

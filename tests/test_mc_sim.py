@@ -306,6 +306,25 @@ def test_ks_distance_detects_shift():
     assert ks_distance(x, lambda v: ndtr(np.asarray(v) - 0.5)) > 0.15
 
 
+def test_ks_distance_matches_scipy_kstest():
+    from scipy import stats
+
+    rs = np.random.default_rng(4)
+    samples = [
+        (rs.standard_normal(100), stats.norm.cdf),
+        (rs.standard_normal(1000) + 0.1, stats.norm.cdf),
+        (rs.exponential(size=500), stats.expon.cdf),
+        (stats.t.rvs(5, size=300, random_state=rs), stats.norm.cdf),
+    ]
+    for x, cdf in samples:
+        res = stats.kstest(x, cdf)
+        assert ks_distance(x, cdf) == pytest.approx(res.statistic, rel=0, abs=1e-12)
+    # the one-sided D- term is the larger one here
+    x = rs.standard_normal(100) + 0.3
+    d_plus = np.max(np.arange(1, 101) / 100 - stats.norm.cdf(np.sort(x)))
+    assert ks_distance(x, stats.norm.cdf) > d_plus
+
+
 def test_ks_distance_needs_samples():
     with pytest.raises(DomainError):
         ks_distance(np.ones(10), lambda v: np.asarray(v))

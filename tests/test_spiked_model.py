@@ -236,3 +236,36 @@ def test_scenario_json_rejects_ambiguous_forms():
         scenario_from_json({"K": 5, "N": 50, "snr": 0.1, "H": [], "Sigma": []})
     with pytest.raises(DomainError):
         scenario_from_json({"K": 5, "N": 50, "Sigma": [1.0]})  # H missing
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        '{"K": 5, "N": 50, "snr": ',  # truncated JSON
+        '{"K": 5, "N": 50, "snr": "abc"}',
+        '{"K": "x", "N": 50, "snr": 0.1}',
+        '{"K": 5, "N": null, "snr": 0.1}',
+        '{"K": 5, "N": 50, "snr": 0.1, "sigma_v2": "loud"}',
+        [5, 50, 0.1],
+        {"K": 2, "N": 50, "Sigma": [1.0], "H": [[[1, 0, 0]], [[1, 0]]]},
+        {"K": 2, "N": 50, "Sigma": [1.0], "H": [[1.0], [[1, 0]]]},
+        {"K": 2, "N": 50, "Sigma": [1.0], "H": [[["a", "b"]], [[1, 0]]]},
+        {"K": 2, "N": 50, "Sigma": [1.0], "H": 7},
+        {"K": 2, "N": 50, "Sigma": "abc", "H": [[[1, 0]], [[1, 0]]]},
+        {"K": 1e400, "N": 50, "snr": 0.1},
+        '{"K": 5, "N": 50, "snr": NaN}',
+        '{"K": 5, "N": 50, "snr": Infinity}',
+    ],
+)
+def test_scenario_json_malformed_raises_domain_error(source):
+    with pytest.raises(DomainError, match="^scenario JSON: "):
+        scenario_from_json(source)
+
+
+def test_scenario_json_malformed_file_exits_2(tmp_path, capsys):
+    from eigendetect.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text('{"K": 20, "N": 400, "snr": "abc"}')
+    assert main(["threshold", "--scenario", str(path), "--pfa", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario JSON: ")
