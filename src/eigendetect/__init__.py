@@ -49,7 +49,6 @@ from .spiked import (
     spike_spectrum,
 )
 from .tracy_widom import (
-    GueFiniteLaw,
     TracyWidomTable,
     airy_ai,
     build_tw2_table,

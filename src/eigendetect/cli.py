@@ -119,11 +119,12 @@ def _h1_inputs(args, allow_none=False):
 
 
 def cmd_threshold(args) -> int:
-    scenario, design, t1 = _h1_inputs(args, allow_none=True)
+    _, design, t1 = _h1_inputs(args, allow_none=True)
     gamma = threshold_from_pfa(args.pfa, design)
-    print("gamma %.10g" % gamma)
+    lines = ["gamma %.10g" % gamma]
     if t1 is not None:
-        print("pmd %.10g" % pmd(gamma, design, t1))
+        lines.append("pmd %.10g" % pmd(gamma, design, t1))
+    print("\n".join(lines))
     return 0
 
 
@@ -223,8 +224,15 @@ def _add_signal(p):
     p.add_argument("--scenario", type=str, help="scenario JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise DomainError, so they exit 2 with ``error:`` like any bad value."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="eigendetect",
         description="Eigenvalue-ratio detector design and Monte Carlo validation",
     )
@@ -301,8 +309,8 @@ def _normalize_argv(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(argv))
     try:
+        args = build_parser().parse_args(_normalize_argv(argv))
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,8 +65,8 @@ def trial_seed(seed: int, index: int) -> int:
 
 def gen_noise(K: int, N: int, sigma_v2: float, seed: int) -> np.ndarray:
     """K x N circularly symmetric complex Gaussian noise, E|v|^2 = sigma_v2."""
-    if sigma_v2 <= 0.0:
-        raise DomainError("gen_noise: sigma_v2 must be > 0")
+    if not 0.0 < sigma_v2 < math.inf:
+        raise DomainError("gen_noise: sigma_v2 must be positive and finite")
     z = SeededStream(seed).standard_complex_normal((K, N))
     return math.sqrt(sigma_v2) * z
 
@@ -125,7 +125,6 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
         re = half * (2.0 * stream.uniform_open(n) - 1.0)
         im = half * (2.0 * stream.uniform_open(n) - 1.0)
         return re + 1j * im
-    raise DomainError(f"unknown modulation {modulation!r}")
 
 
 def gen_signal(P: int, N: int, modulation, sigma2, seed: int) -> np.ndarray:
@@ -134,8 +133,8 @@ def gen_signal(P: int, N: int, modulation, sigma2, seed: int) -> np.ndarray:
     sigma2 = np.asarray(sigma2, dtype=float).reshape(-1)
     if sigma2.shape[0] != P:
         raise DomainError("gen_signal: sigma2 must hold one power per source")
-    if np.any(sigma2 <= 0.0):
-        raise DomainError("gen_signal: source powers must be > 0")
+    if not np.all((sigma2 > 0.0) & (sigma2 < math.inf)):
+        raise DomainError("gen_signal: source powers must be positive and finite")
     out = np.empty((P, N), dtype=complex)
     for p in range(P):
         stream = SeededStream(int(seed) ^ mix(p))
@@ -150,10 +149,10 @@ def gen_channel(K: int, P: int, target_snr: float, sigma_v2: float, seed: int) -
     sum_p ||h_p||^2 = target_snr * K * sigma_v2 (one power per source
     assumed, so the resulting scenario's SNR equals target_snr exactly).
     """
-    if target_snr <= 0.0:
-        raise DomainError("gen_channel: target_snr must be > 0")
-    if sigma_v2 <= 0.0:
-        raise DomainError("gen_channel: sigma_v2 must be > 0")
+    if not 0.0 < target_snr < math.inf:
+        raise DomainError("gen_channel: target_snr must be positive and finite")
+    if not 0.0 < sigma_v2 < math.inf:
+        raise DomainError("gen_channel: sigma_v2 must be positive and finite")
     g = SeededStream(seed).standard_complex_normal((K, P))
     fro2 = float(np.sum(np.abs(g) ** 2))
     return g * math.sqrt(target_snr * K * sigma_v2 / fro2)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "Modulation",
@@ -35,7 +35,6 @@ __all__ = [
     "scenario_from_json",
 ]
 
-_HERMITICITY_TOL = 1e-10
 _TIE_TOL = 1e-9
 
 
@@ -115,10 +114,12 @@ class Scenario:
             raise DomainError("Scenario: P < K required")
         if sigma2.shape[0] != P:
             raise DomainError("Scenario: sigma2 must hold one power per source")
-        if np.any(sigma2 <= 0.0):
-            raise DomainError("Scenario: source powers must be strictly positive")
-        if not self.sigma_v2 > 0.0:
-            raise DomainError("Scenario: noise variance must be strictly positive")
+        if not np.all(np.isfinite(H)):
+            raise DomainError("Scenario: channel entries must be finite")
+        if not np.all((sigma2 > 0.0) & (sigma2 < math.inf)):
+            raise DomainError("Scenario: source powers must be positive and finite")
+        if not 0.0 < self.sigma_v2 < math.inf:
+            raise DomainError("Scenario: noise variance must be positive and finite")
         H.setflags(write=False)
         sigma2.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -146,7 +147,6 @@ class SpikeSpectrum:
     spikes: np.ndarray
     signal_eigs: np.ndarray
     snr: float
-    critical_value: float
 
     def __post_init__(self):
         spikes = np.array(self.spikes, dtype=float)
@@ -165,9 +165,6 @@ class SpikeSpectrum:
     @property
     def t1(self) -> float:
         return float(self.spikes[0])
-
-    def identifiable(self) -> bool:
-        return self.t1 > self.critical_value
 
 
 def snr(scenario: Scenario) -> float:
@@ -199,20 +196,15 @@ def spike_spectrum(scenario: Scenario, design: DetectorDesign) -> SpikeSpectrum:
         raise DomainError("spike_spectrum: design and scenario disagree on P")
 
     d = np.sqrt(scenario.sigma2)
-    gram = scenario.H.conj().T @ scenario.H
-    m = d[:, None] * gram * d[None, :]
-    drift = np.linalg.norm(m - m.conj().T)
-    if drift > _HERMITICITY_TOL * max(np.linalg.norm(m), 1e-300):
-        raise NumericError(f"spike_spectrum: hermiticity drift {drift:.3e} beyond tolerance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = d[:, None] * (scenario.H.conj().T @ scenario.H) * d[None, :]
+    if not np.all(np.isfinite(m)):
+        raise DomainError("spike_spectrum: signal covariance overflows the floating-point range")
 
+    # eigvalsh reads one triangle of m, so rounding asymmetry cannot reach s
     s = np.linalg.eigvalsh(m)[::-1]
     if s[-1] <= 0.0:
         raise DomainError("spike_spectrum: signal covariance is numerically rank deficient")
-    # Trace identity between the reduced problem and K*snr*sigma_v2.
-    rho = snr(scenario)
-    trace_gap = abs(float(np.sum(s)) - rho * design.K * scenario.sigma_v2)
-    if trace_gap > 1e-10 * max(float(np.sum(s)), 1e-300):
-        raise NumericError("spike_spectrum: trace identity violated beyond 1e-10")
 
     t = s / scenario.sigma_v2 + 1.0
     if t.size > 1 and (t[0] - t[1]) <= _TIE_TOL * t[0]:
@@ -225,21 +217,20 @@ def spike_spectrum(scenario: Scenario, design: DetectorDesign) -> SpikeSpectrum:
     return SpikeSpectrum(
         spikes=t,
         signal_eigs=s,
-        snr=rho,
-        critical_value=design.critical_t1,
+        snr=snr(scenario),
     )
 
 
 def spike_from_snr(K: int, rho: float) -> float:
     """Single-source spike: t1 = K * rho + 1."""
-    if rho < 0.0:
-        raise DomainError("spike_from_snr: rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise DomainError("spike_from_snr: rho must be >= 0 and finite")
     return K * rho + 1.0
 
 
 def is_identifiable(t1: float, design: DetectorDesign) -> bool:
     """True iff the spike separates from the noise bulk (t1 > 1 + sqrt(c), strict)."""
-    if t1 < 1.0:
+    if not t1 >= 1.0:
         raise DomainError("is_identifiable: t1 must be >= 1")
     return t1 > design.critical_t1
 

@@ -45,7 +45,6 @@ from .errors import DomainError, NumericError
 
 __all__ = [
     "TracyWidomTable",
-    "GueFiniteLaw",
     "airy_ai",
     "airy_ai_prime",
     "build_tw2_table",
@@ -228,16 +227,16 @@ def default_table() -> TracyWidomTable:
     return build_tw2_table()
 
 
-def tw2_cdf(x, table: TracyWidomTable | None = None):
-    return (table or default_table()).cdf(x)
+def tw2_cdf(x):
+    return default_table().cdf(x)
 
 
-def tw2_pdf(x, table: TracyWidomTable | None = None):
-    return (table or default_table()).pdf(x)
+def tw2_pdf(x):
+    return default_table().pdf(x)
 
 
-def tw2_quantile(p: float, table: TracyWidomTable | None = None) -> float:
-    return (table or default_table()).quantile(p)
+def tw2_quantile(p: float) -> float:
+    return default_table().quantile(p)
 
 
 def dump_table_csv(path, table: TracyWidomTable | None = None) -> None:
@@ -289,19 +288,3 @@ def gue_pdf(k: int, x):
 def _check_gue_order(k) -> None:
     if k not in (1, 2):
         raise DomainError(f"finite-GUE law of order {k!r} is not supported (k must be 1 or 2)")
-
-
-@dataclass(frozen=True)
-class GueFiniteLaw:
-    """Law of the largest eigenvalue of a small GUE, order 1 or 2."""
-
-    order: int
-
-    def __post_init__(self):
-        _check_gue_order(self.order)
-
-    def cdf(self, x):
-        return gue_cdf(self.order, x)
-
-    def pdf(self, x):
-        return gue_pdf(self.order, x)

@@ -267,6 +267,10 @@ def test_io_failure_exit_code(capsys):
         ("lut", "--k", "2", "--n", "7", "--pfa", "1e-5"),
         ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid", "0.001:0.5:3xyz"),
         ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid", "0.001:0.5:3:4"),
+        ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid", "0:0.5:3log"),
+        ("lut", "--k", ",", "--n", "1000", "--pfa", "0.01"),
+        ("threshold", "--k", "abc", "--n", "1000", "--pfa", "0.01"),
+        ("pfa", "--k", "50", "--n", "1000"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):
@@ -274,6 +278,14 @@ def test_bad_numbers_exit_2_without_nan(capsys, argv):
     assert rc == 2
     assert err.startswith("error:")
     assert "nan" not in out
+    if argv[0] != "lut":  # a lut with a failed cell still prints the good rows' table
+        assert out == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
 def test_threshold_high_aspect_ratio(capsys):

@@ -88,8 +88,9 @@ def test_noise_circular_symmetry():
 
 
 def test_noise_rejects_bad_variance():
-    with pytest.raises(DomainError):
-        gen_noise(4, 8, 0.0, 1)
+    for sigma_v2 in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            gen_noise(4, 8, sigma_v2, 1)
 
 
 # --- signals -----------------------------------------------------------------
@@ -132,6 +133,8 @@ def test_uniform_complex_fourth_moment():
 def test_unknown_modulation_rejected():
     with pytest.raises(DomainError):
         gen_signal(1, 10, "gmsk", [1.0], 0)
+    with pytest.raises(DomainError):
+        gen_signal(1, 8, "qpsk", [math.nan], 1)
 
 
 # --- channel -----------------------------------------------------------------
@@ -143,6 +146,9 @@ def test_channel_hits_target_snr_exactly():
     assert np.array_equal(H, gen_channel(50, 1, 0.01, 1.0, 5))
     d = DetectorDesign(50, 1000, 1)
     assert spike_spectrum(sc, d).t1 == pytest.approx(1.5, abs=1e-9)
+    for target_snr, sigma_v2 in ((math.nan, 1.0), (0.1, math.nan), (math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            gen_channel(5, 1, target_snr, sigma_v2, 1)
 
 
 def test_component_snr_channel():

@@ -7,7 +7,6 @@ import pytest
 
 from eigendetect.errors import DomainError, NumericError
 from eigendetect.tracy_widom import (
-    GueFiniteLaw,
     airy_ai,
     airy_ai_prime,
     build_tw2_table,
@@ -211,7 +210,14 @@ def test_gue_unsupported_order():
         gue_cdf(3, 0.0)
     with pytest.raises(DomainError):
         gue_pdf(0, 0.0)
-    with pytest.raises(DomainError):
-        GueFiniteLaw(4)
-    law = GueFiniteLaw(2)
-    assert law.cdf(0.0) == gue_cdf(2, 0.0)
+
+
+def test_every_exported_name_resolves():
+    from eigendetect import cli, performance, rng, simulate, spiked, tracy_widom
+
+    for module in (cli, performance, rng, simulate, spiked, tracy_widom):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    namespace = {}
+    exec("from eigendetect import *", namespace)
+    assert "spike_spectrum" in namespace and "tw2_cdf" in namespace

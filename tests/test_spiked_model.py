@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_scenario_validation():
         Scenario(np.ones((5, 1)), [1.0], 0.0)  # zero noise
     with pytest.raises(DomainError):
         Scenario(np.ones((5, 1)), [1.0], 1.0, modulation="oqpsk")
+    for H, sigma2, sigma_v2 in (
+        (np.full((5, 1), np.nan), [1.0], 1.0),
+        (np.full((5, 1), np.inf), [1.0], 1.0),
+        (np.ones((5, 1)), [math.nan], 1.0),
+        (np.ones((5, 1)), [math.inf], 1.0),
+        (np.ones((5, 1)), [1.0], math.nan),
+        (np.ones((5, 1)), [1.0], math.inf),
+    ):
+        with pytest.raises(DomainError):
+            Scenario(H, sigma2, sigma_v2)
     sc = Scenario(np.ones((5, 2)), [1.0, 2.0], 1.0, modulation="qpsk")
     assert sc.K == 5 and sc.P == 2 and sc.modulation is Modulation.QPSK
     with pytest.raises(ValueError):
@@ -139,6 +150,12 @@ def test_spike_rejects_rank_deficient():
     sc = Scenario(H, [1.0, 1.0], 1.0)
     with pytest.raises(DomainError):
         spike_spectrum(sc, DetectorDesign(6, 60, 2))
+    # finite entries whose signal covariance overflows: a typed error, no numpy warning
+    huge = Scenario(np.full((6, 1), 1e200), [1e200], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            spike_spectrum(huge, DetectorDesign(6, 60))
 
 
 def test_dominant_component_never_overshoots():
@@ -160,8 +177,12 @@ def test_identifiability_strict_boundary():
     assert not is_identifiable(1.3162, d01)  # just below 1.31622...
     assert not is_identifiable(d01.critical_t1, d01)  # boundary not strict
     assert not is_identifiable(1.0, d01)
-    with pytest.raises(DomainError):
-        is_identifiable(0.5, d01)
+    for t1 in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            is_identifiable(t1, d01)
+    for rho in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            spike_from_snr(5, rho)
 
 
 def test_critical_snr_values():
@@ -262,10 +283,29 @@ def test_scenario_json_malformed_raises_domain_error(source):
         scenario_from_json(source)
 
 
-def test_scenario_json_malformed_file_exits_2(tmp_path, capsys):
+def _explicit_k20(power, gain):
+    return json.dumps({"K": 20, "N": 400, "Sigma": [power], "H": [[[gain, 0]]] * 20})
+
+
+@pytest.mark.parametrize(
+    "text, argv, prefix",
+    [
+        ('{"K": 20, "N": 400, "snr": "abc"}', ("threshold", "--pfa", "0.01"),
+         "error: scenario JSON: "),
+        (_explicit_k20(math.nan, 1), ("pmd", "--gamma", "2.5"), "error: Scenario: "),
+        (_explicit_k20(math.nan, 1), ("simulate", "--trials", "200"), "error: Scenario: "),
+        (_explicit_k20(1e200, 1e200), ("pmd", "--gamma", "2.5"), "error: spike_spectrum: "),
+        ('{"K": 20, "N": 400, "snr": 0.25}', ("pmd", "--n", "999", "--gamma", "2.5"),
+         "error: --n contradicts"),
+    ],
+    ids=["snr-not-a-number", "nan-power-pmd", "nan-power-simulate", "overflow-pmd",
+         "n-contradicts-file"],
+)
+def test_scenario_json_malformed_file_exits_2(tmp_path, capsys, text, argv, prefix):
     from eigendetect.cli import main
 
     path = tmp_path / "bad.json"
-    path.write_text('{"K": 20, "N": 400, "snr": "abc"}')
-    assert main(["threshold", "--scenario", str(path), "--pfa", "0.01"]) == 2
-    assert capsys.readouterr().err.startswith("error: scenario JSON: ")
+    path.write_text(text)
+    assert main([*argv, "--scenario", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(prefix) and out.out == ""
