@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import DomainError, EigendetectError, NotIdentifiableError, NumericError
 from .spiked import DetectorDesign, spike_from_snr
-from .tracy_widom import default_table
+from .tracy_widom import default_table, invert_cdf
 
 __all__ = [
     "EdgeLaw",
@@ -57,6 +56,7 @@ _SUPPORT_SIGMAS = 12.0       # numerator scales past which its CDF is exactly 1
 _SELF_CHECK_TOL = 1e-8       # node-doubling agreement required at startup
 _CRITICAL_MARGIN = 1e-6      # refuse spikes within this relative margin of 1+sqrt(c)
 _INVERT_TOL = 1e-6
+_SEED_Z = np.linspace(-5.0, 5.0, 11)  # edge-law scales spanned by the inversion's seed grid
 
 
 def mu_plus(c: float) -> float:
@@ -258,25 +258,41 @@ def pmd(gamma: float, design: DetectorDesign, t1: float) -> float:
     return float(_h1_law(design, float(t1)).cdf(gamma))
 
 
-def _invert(law: RatioLaw, level: float) -> float:
-    """gamma in [1, gamma_sat] with law.cdf(gamma) = level, for 0 < level < 1.
+def _invert(law: RatioLaw, levels: np.ndarray):
+    """gamma in [1, gamma_sat] with law.cdf(gamma) = level for each level in (0, 1), and
+    per level None or its error: a level above F_T(gamma_sat) is out of reach, and a
+    residual above _INVERT_TOL is a failed inversion.
 
     F_T(1) = 0.  Past gamma_sat every node x >= x_min puts gamma x at least
-    _SUPPORT_SIGMAS numerator scales above its center, where the numerator
-    CDF is exactly 1, so F_T has reached its full quadrature mass.
+    _SUPPORT_SIGMAS numerator scales above its center, where the numerator CDF is
+    exactly 1, so F_T(gamma_sat) is the law's full quadrature mass.  The seed grid
+    between them pairs numerator and denominator quantiles at the same z.
     """
-    num = law.numerator
-    g_sat = (num.center + _SUPPORT_SIGMAS * num.sigma(law.design.N)) / law._x[0]
-    top = law.cdf(g_sat)
-    if level > top:
-        raise DomainError(
-            f"target out of reach: the {law.hypothesis} ratio CDF only covers [0, {top!r}]; "
-            f"its truncated quadrature window holds all but {1.0 - top:.3g} of the law's mass"
-        )
-    root = brentq(lambda g: law.cdf(g) - level, 1.0, g_sat, xtol=1e-10, rtol=1e-14)
-    if abs(law.cdf(root) - level) > _INVERT_TOL:
-        raise NumericError("threshold inversion did not meet the 1e-6 residual bound")
-    return float(root)
+    num, den, n = law.numerator, law.denominator, law.design.N
+    g_sat = (num.center + _SUPPORT_SIGMAS * num.sigma(n)) / law._x[0]
+    x = np.maximum(den.center - _SEED_Z * den.sigma(n), law._x[0])
+    grid = np.r_[1.0, np.clip((num.center + _SEED_Z * num.sigma(n)) / x, 1.0, g_sat), g_sat]
+    f_grid = law.cdf(grid)
+    top = float(f_grid[-1])
+    reach = levels <= top
+    gammas, residual = np.full(levels.shape, np.nan), np.zeros(levels.shape)
+    gammas[reach], residual[reach] = invert_cdf(law.cdf, law.pdf, levels[reach], grid, f_grid)
+    lost = DomainError(
+        f"target out of reach: the {law.hypothesis} ratio CDF only covers [0, {top!r}]; "
+        f"its truncated quadrature window holds all but {1.0 - top:.3g} of the law's mass"
+    )
+    failed = NumericError("threshold inversion did not meet the 1e-6 residual bound")
+    return gammas, [lost if not ok else failed if r > _INVERT_TOL else None
+                    for ok, r in zip(reach, residual)]
+
+
+def _thresholds(law: RatioLaw, levels: np.ndarray) -> np.ndarray:
+    """_invert's thresholds; the first failing level raises its error."""
+    gammas, errors = _invert(law, levels)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return gammas
 
 
 def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
@@ -288,7 +304,7 @@ def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
     """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pfa: pfa must lie in (0,1)")
-    return _invert(_h0_law(design), 1.0 - target)
+    return float(_thresholds(_h0_law(design), np.array([1.0 - target]))[0])
 
 
 def threshold_from_pmd(target: float, design: DetectorDesign, t1: float) -> float:
@@ -298,16 +314,20 @@ def threshold_from_pmd(target: float, design: DetectorDesign, t1: float) -> floa
     """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pmd: target must lie in (0, 1)")
-    return _invert(_h1_law(design, float(t1)), target)
+    return float(_thresholds(_h1_law(design, float(t1)), np.array([target], dtype=float))[0])
 
 
-def roc(design: DetectorDesign, t1: float, pfa_grid) -> list[tuple[float, float]]:
-    """Missed-detection probability at the threshold of each target P_fa."""
-    out = []
-    for p in pfa_grid:
-        gamma = threshold_from_pfa(p, design)
-        out.append((float(p), pmd(gamma, design, t1)))
-    return out
+def roc(design: DetectorDesign, t1: float, pfa_grid) -> np.ndarray:
+    """(pfa, pmd) rows: the missed-detection probability at the threshold of each target P_fa.
+
+    The whole grid is inverted on the H0 law in one solve and P_md is one
+    vectorised H1 CDF call; column 0 is the grid itself.
+    """
+    p = np.array(pfa_grid, dtype=float).reshape(-1)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise DomainError("roc: pfa must lie in (0,1)")
+    gammas = _thresholds(_h0_law(design), 1.0 - p)
+    return np.column_stack((p, _h1_law(design, float(t1)).cdf(gammas)))
 
 
 @dataclass(frozen=True)
@@ -324,29 +344,29 @@ class LutRow:
 def build_lut(k_list, n_list, pfa_list, snr: float | None = None) -> tuple[LutRow, ...]:
     """Thresholds for every (K, N, P_fa) combination, sorted.
 
-    With an SNR supplied, each row also records the single-source
-    missed-detection probability at its threshold.  Rows whose
-    computation fails carry the exception instead of aborting the
-    rest of the table.
+    Each (K, N) inverts its whole P_fa list at once.  With an SNR supplied,
+    each row also records the single-source missed-detection probability at
+    its threshold.  Rows whose computation fails carry the exception instead
+    of aborting the rest of the table.
     """
     if not (len(k_list) and len(n_list) and len(pfa_list)):
         raise DomainError("build_lut: all grids must be nonempty")
+    ps = sorted(set(float(p) for p in pfa_list))
+    if not all(0.0 < p < 1.0 for p in ps):
+        raise DomainError("build_lut: pfa must lie in (0,1)")
     rows = []
     for K in sorted(set(int(k) for k in k_list)):
         for N in sorted(set(int(n) for n in n_list)):
-            for p in sorted(set(float(p) for p in pfa_list)):
-                try:
-                    design = DetectorDesign(K=K, N=N)
-                    gamma = threshold_from_pfa(p, design)
-                    if snr is None:
-                        rows.append(LutRow(K, N, p, gamma))
-                    else:
-                        t1 = spike_from_snr(K, snr)
-                        rows.append(
-                            LutRow(K, N, p, gamma, snr=snr, pmd=pmd(gamma, design, t1))
-                        )
-                except (DomainError, NumericError) as exc:
-                    rows.append(LutRow(K, N, p, snr=snr, error=exc))
+            gammas, pmds, errors = np.full(len(ps), math.nan), [None] * len(ps), [None] * len(ps)
+            try:
+                design = DetectorDesign(K=K, N=N)
+                gammas, errors = _invert(_h0_law(design), 1.0 - np.array(ps))
+                if snr is not None:
+                    pmds = _h1_law(design, spike_from_snr(K, snr)).cdf(gammas).tolist()
+            except (DomainError, NumericError) as exc:  # a cell's own error comes first
+                errors = [e or exc for e in errors]
+            rows.extend(LutRow(K, N, p, snr=snr, error=e) if e else LutRow(K, N, p, g, snr, m)
+                        for p, g, m, e in zip(ps, gammas.tolist(), pmds, errors))
     return tuple(rows)
 
 

@@ -169,8 +169,12 @@ class SpikeSpectrum:
 
 def snr(scenario: Scenario) -> float:
     """Total SNR: tr(H Sigma H^H) / (K sigma_v^2)."""
-    col_energy = np.sum(np.abs(scenario.H) ** 2, axis=0)
-    return float(np.dot(scenario.sigma2, col_energy) / (scenario.K * scenario.sigma_v2))
+    with np.errstate(over="ignore"):
+        col_energy = np.sum(np.abs(scenario.H) ** 2, axis=0)
+        rho = float(np.dot(scenario.sigma2, col_energy) / (scenario.K * scenario.sigma_v2))
+    if not math.isfinite(rho):
+        raise DomainError("SNR overflows the floating-point range")
+    return rho
 
 
 def approx_snr_dominant(scenario: Scenario) -> float:
@@ -206,7 +210,10 @@ def spike_spectrum(scenario: Scenario, design: DetectorDesign) -> SpikeSpectrum:
     if s[-1] <= 0.0:
         raise DomainError("spike_spectrum: signal covariance is numerically rank deficient")
 
-    t = s / scenario.sigma_v2 + 1.0
+    with np.errstate(over="ignore"):
+        t = s / scenario.sigma_v2 + 1.0
+    if not math.isfinite(t[0]):
+        raise DomainError("SNR overflows the floating-point range: s / sigma_v2 is inf")
     if t.size > 1 and (t[0] - t[1]) <= _TIE_TOL * t[0]:
         warnings.warn(
             "top spike eigenvalue is nearly degenerate; treating it as simple "

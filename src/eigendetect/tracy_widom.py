@@ -37,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 from scipy.special import airy as _airy
 from scipy.special import ndtr
 
@@ -123,22 +122,13 @@ class TracyWidomTable:
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DomainError("tw2_quantile: p must lie in (0, 1)")
-        target = math.log(p)
-        lo = float(self._log_cdf(self.grid[0]))
-        hi = float(self._log_cdf(self.grid[-1]))
-        if not lo <= target <= hi:
+        cdf = self.cdf_values
+        if not cdf[0] <= p <= cdf[-1]:
             raise NumericError(
                 f"tw2_quantile: p={p!r} outside the tabulated range "
-                f"[{math.exp(lo):.3e}, {1.0 - abs(hi):.12f}]"
+                f"[{cdf[0]:.3e}, {cdf[-1]:.12f}]"
             )
-        root = brentq(
-            lambda t: float(self._log_cdf(t)) - target,
-            self.grid[0],
-            self.grid[-1],
-            xtol=1e-13,
-            rtol=1e-15,
-        )
-        return float(root)
+        return float(invert_cdf(self.cdf, self.pdf, np.array([p]), self.grid, cdf)[0][0])
 
     def mean(self) -> float:
         return float(np.trapezoid(self.grid * self.pdf_values, self.grid))
@@ -146,6 +136,46 @@ class TracyWidomTable:
     def variance(self) -> float:
         m = self.mean()
         return float(np.trapezoid((self.grid - m) ** 2 * self.pdf_values, self.grid))
+
+
+def invert_cdf(cdf, pdf, levels, grid, f_grid):
+    """x with cdf(x) = level for each level in (0, 1), by safeguarded Newton steps.
+
+    f_grid = cdf(grid) on an ascending grid brackets every level.  Each round calls
+    cdf and pdf once, on the open points, and steps by Newton on log(F / (1 - F)),
+    nearly linear in both tails; a step off the bracket bisects.  A point is done
+    when a bracket end has |F - level| <= 1e-10 min(level, 1 - level) + 1e-15 level
+    or the bracket has collapsed (F may jump over the level): returns that end and
+    its |F - level|.
+    """
+    i = np.clip(np.searchsorted(f_grid, levels), 1, grid.size - 1)
+    lo, hi, f_lo, f_hi = grid[i - 1], grid[i], f_grid[i - 1], f_grid[i]
+    root, residual = np.empty_like(levels), np.empty_like(levels)
+    open_, lev = np.arange(levels.size), levels
+    tol = 1e-10 * np.minimum(lev, 1.0 - lev) + 1e-15 * lev
+    with np.errstate(all="ignore"):  # F in {0, 1} or pdf = 0 give nan or inf steps: they bisect
+        logit = lambda F: np.log(F / (1.0 - F))
+        odds = logit(lev)
+        x = lo + (hi - lo) * (odds - logit(f_lo)) / (logit(f_hi) - logit(f_lo))  # secant start
+        for _ in range(100):  # bisection alone collapses a grid bracket within 60
+            x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+            F = cdf(x)
+            below = F < lev
+            lo, f_lo = np.where(below, x, lo), np.where(below, F, f_lo)
+            hi, f_hi = np.where(below, hi, x), np.where(below, f_hi, F)
+            r_lo, r_hi = lev - f_lo, f_hi - lev
+            done = (np.minimum(r_lo, r_hi) <= tol) | (hi - lo <= 4e-16 * np.abs(x))
+            if done.any():
+                root[open_[done]] = np.where(r_lo < r_hi, lo, hi)[done]
+                residual[open_[done]] = np.minimum(r_lo, r_hi)[done]
+                open_, x, F, lo, hi, f_lo, f_hi, lev, odds, tol = (
+                    v[~done] for v in (open_, x, F, lo, hi, f_lo, f_hi, lev, odds, tol))
+            if not open_.size:
+                break
+            x = x + (odds - logit(F)) * F * (1.0 - F) / pdf(x)
+        else:
+            raise NumericError(f"invert_cdf: {open_.size} roots still open after 100 rounds")
+    return root, residual
 
 
 def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:

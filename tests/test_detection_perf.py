@@ -1,13 +1,16 @@
 """Tests for the analytical performance engine."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from eigendetect import performance, tracy_widom
 from eigendetect.errors import DomainError, NotIdentifiableError, NumericError
 from eigendetect.performance import (
     EdgeLaw,
+    RatioLaw,
     build_lut,
     centering_constants,
     mu_minus,
@@ -215,6 +218,24 @@ def test_threshold_beyond_truncated_mass_raises():
     assert threshold_from_pfa(2 * lost, D50) > 1.0
 
 
+def test_threshold_takes_at_most_8_cdf_calls(monkeypatch):
+    calls = []
+    cdf = RatioLaw.cdf
+    monkeypatch.setattr(RatioLaw, "cdf", lambda law, g: calls.append(1) or cdf(law, g))
+    for K, N in ((20, 1000), (50, 1000), (100, 1000), (50, 500)):
+        for p in (0.1, 1e-2, 1e-4, 1e-6):
+            calls.clear()
+            g = threshold_from_pfa(p, DetectorDesign(K, N))
+            assert len(calls) <= 8, (K, N, p, len(calls))
+            assert abs(pfa(g, DetectorDesign(K, N)) - p) <= 1e-10 * p + 4e-15
+
+
+def test_no_scipy_root_finder_left():
+    for module in (performance, tracy_widom):
+        source = inspect.getsource(module)
+        assert "scipy.optimize" not in source and "brentq" not in source
+
+
 def test_threshold_independent_of_everything_but_geometry():
     assert threshold_from_pfa(0.01, D50) == threshold_from_pfa(0.01, DetectorDesign(50, 1000, 1))
 
@@ -224,8 +245,22 @@ def test_threshold_independent_of_everything_but_geometry():
 def test_roc_monotone_tradeoff():
     pts = roc(D50, 1.5, [0.01, 0.1, 0.5])
     assert pts[0][1] > pts[1][1] > pts[2][1]
-    with pytest.raises(DomainError):
-        roc(D50, 1.5, [0.0, 0.1])
+    for bad in ([0.0, 0.1], [0.01, 0.0], [0.01, math.nan]):
+        with pytest.raises(DomainError):
+            roc(D50, 1.5, bad)
+    assert roc(D50, 1.5, []).shape == (0, 2)
+
+
+@pytest.mark.parametrize("K, N", [(20, 1000), (50, 1000), (100, 1000), (50, 500)])
+def test_roc_matches_pointwise_inversion(K, N):
+    d = DetectorDesign(K, N)
+    grid = np.geomspace(1e-4, 0.5, 40)
+    for t1 in (1.5, 2.0, 6.0):
+        pts = roc(d, t1, grid)
+        assert pts.shape == (40, 2) and pts.dtype == np.float64
+        assert np.array_equal(pts[:, 0], grid)
+        for p, q in pts:
+            assert abs(q - pmd(threshold_from_pfa(p, d), d, t1)) <= 1e-9
 
 
 def test_roc_high_snr_regime_nearly_ideal():
@@ -238,6 +273,19 @@ def test_lut_single_cell_matches_direct_call():
     table = build_lut([50], [1000], [0.01])
     assert len(table) == 1
     assert table[0].gamma == threshold_from_pfa(0.01, D50)
+
+
+def test_lut_cell_beyond_truncated_mass_fails_alone():
+    for snr in (None, 0.04):
+        table = build_lut([50], [1000], [0.01, 1e-13], snr=snr)
+        assert [r.pfa for r in table] == [1e-13, 0.01]
+        assert isinstance(table[0].error, DomainError) and math.isnan(table[0].gamma)
+        assert table[1].error is None
+        assert table[1].gamma == threshold_from_pfa(0.01, D50)
+        if snr is not None:
+            assert table[1].pmd == pytest.approx(pmd(table[1].gamma, D50, 3.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        build_lut([50], [1000], [0.01, 1.0])
 
 
 def test_lut_grid_ordering_and_monotonicity():

@@ -14,6 +14,7 @@ from eigendetect.tracy_widom import (
     dump_table_csv,
     gue_cdf,
     gue_pdf,
+    invert_cdf,
     tw2_cdf,
     tw2_pdf,
     tw2_quantile,
@@ -135,6 +136,23 @@ def test_quantile_roundtrip():
         x = tw2_quantile(p)
         assert abs(tw2_cdf(x) - p) <= 1e-9
     assert abs(tw2_cdf(tw2_quantile(0.5)) - 0.5) <= 1e-9
+
+
+def test_invert_cdf_bisects_and_steps_over_a_jump():
+    # uniform on [1, 3] mixed half and half with an atom at 2: F jumps from 0.25 to
+    # 0.75 there, and the pdf is 0 off [1, 3], where Newton cannot step
+    def cdf(x):
+        return 0.5 * np.clip((x - 1.0) / 2.0, 0.0, 1.0) + 0.5 * (x >= 2.0)
+
+    def pdf(x):
+        return 0.25 * ((1.0 <= x) & (x <= 3.0))
+
+    grid = np.array([0.0, 10.0])
+    x, residual = invert_cdf(cdf, pdf, np.array([0.1, 0.6, 0.9]), grid, cdf(grid))
+    assert x[0] == pytest.approx(1.4, abs=1e-10) and x[2] == pytest.approx(2.6, abs=1e-10)
+    assert residual[0] <= 1e-11 and residual[2] <= 1e-11
+    # 0.6 has no root: the better end of the collapsed bracket comes back
+    assert x[1] == 2.0 and residual[1] == pytest.approx(0.15, abs=1e-15)
 
 
 def test_quantile_domain_errors():

@@ -158,6 +158,17 @@ def test_spike_rejects_rank_deficient():
             spike_spectrum(huge, DetectorDesign(6, 60))
 
 
+def test_snr_overflow_raises_without_warning():
+    # finite powers whose SNR overflows only after the division by sigma_v2
+    sc = Scenario(np.ones((20, 1)), [1e10], 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^SNR overflows"):
+            snr(sc)
+        with pytest.raises(DomainError, match="^SNR overflows"):
+            spike_spectrum(sc, DetectorDesign(20, 400))
+
+
 def test_dominant_component_never_overshoots():
     rs = np.random.default_rng(23)
     for _ in range(100):
@@ -297,10 +308,13 @@ def _explicit_k20(power, gain):
         (_explicit_k20(1e200, 1e200), ("pmd", "--gamma", "2.5"), "error: spike_spectrum: "),
         ('{"K": 20, "N": 400, "snr": 0.25}', ("pmd", "--n", "999", "--gamma", "2.5"),
          "error: --n contradicts"),
+        (json.dumps({"K": 20, "N": 400, "sigma_v2": 1e-300, "Sigma": [1e10],
+                     "H": [[[1, 0]]] * 20}), ("pmd", "--gamma", "2.5"), "error: SNR overflows"),
     ],
     ids=["snr-not-a-number", "nan-power-pmd", "nan-power-simulate", "overflow-pmd",
-         "n-contradicts-file"],
+         "n-contradicts-file", "snr-overflow-pmd"],
 )
+@pytest.mark.filterwarnings("error")
 def test_scenario_json_malformed_file_exits_2(tmp_path, capsys, text, argv, prefix):
     from eigendetect.cli import main
 
