@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, EigendetectError, NotIdentifiableError, NumericError
 from .spiked import DetectorDesign, spike_from_snr
@@ -143,6 +142,7 @@ class RatioLaw:
         s = self.numerator.sigma(self.design.N)
         z = (np.asarray(y, float) - self.numerator.center) / s
         if self.numerator.kind == "gaussian":
+            from scipy.special import ndtr  # H1 only: the H0 path needs no scipy
             return ndtr(z)
         return default_table().cdf(z)
 
@@ -259,31 +259,34 @@ def pmd(gamma: float, design: DetectorDesign, t1: float) -> float:
 
 
 def _invert(law: RatioLaw, levels: np.ndarray):
-    """gamma in [1, gamma_sat] with law.cdf(gamma) = level for each level in (0, 1), and
-    per level None or its error: a level above F_T(gamma_sat) is out of reach, and a
-    residual above _INVERT_TOL is a failed inversion.
+    """gamma in (1, gamma_sat] with law.cdf(gamma) = level for each level in (0, 1), and
+    per level None or its error: a level at or below F_T(1+), or above F_T(gamma_sat),
+    is out of reach, and a residual above _INVERT_TOL is a failed inversion.
 
-    F_T(1) = 0.  Past gamma_sat every node x >= x_min puts gamma x at least
+    F_T(1+), one ulp above 1, is the mass the law puts at T <= 1, which cdf folds into
+    a jump at 1.  Past gamma_sat every node x >= x_min puts gamma x at least
     _SUPPORT_SIGMAS numerator scales above its center, where the numerator CDF is
     exactly 1, so F_T(gamma_sat) is the law's full quadrature mass.  The seed grid
     between them pairs numerator and denominator quantiles at the same z.
     """
     num, den, n = law.numerator, law.denominator, law.design.N
     g_sat = (num.center + _SUPPORT_SIGMAS * num.sigma(n)) / law._x[0]
+    g_1 = np.nextafter(1.0, 2.0)
     x = np.maximum(den.center - _SEED_Z * den.sigma(n), law._x[0])
-    grid = np.r_[1.0, np.clip((num.center + _SEED_Z * num.sigma(n)) / x, 1.0, g_sat), g_sat]
+    grid = np.r_[g_1, np.clip((num.center + _SEED_Z * num.sigma(n)) / x, g_1, g_sat), g_sat]
     f_grid = law.cdf(grid)
-    top = float(f_grid[-1])
-    reach = levels <= top
+    bottom, top = float(f_grid[0]), float(f_grid[-1])
+    reach = (bottom < levels) & (levels <= top)
     gammas, residual = np.full(levels.shape, np.nan), np.zeros(levels.shape)
     gammas[reach], residual[reach] = invert_cdf(law.cdf, law.pdf, levels[reach], grid, f_grid)
-    lost = DomainError(
-        f"target out of reach: the {law.hypothesis} ratio CDF only covers [0, {top!r}]; "
-        f"its truncated quadrature window holds all but {1.0 - top:.3g} of the law's mass"
-    )
+    jump = DomainError(f"target out of reach: the {law.hypothesis} limiting law puts "
+                       f"{bottom:.2g} of its mass at T <= 1, where the ratio cannot go")
+    lost = DomainError(f"target out of reach: the {law.hypothesis} ratio CDF only covers "
+                       f"[0, {top!r}]; its truncated quadrature window holds all but "
+                       f"{1.0 - top:.3g} of the law's mass")
     failed = NumericError("threshold inversion did not meet the 1e-6 residual bound")
-    return gammas, [lost if not ok else failed if r > _INVERT_TOL else None
-                    for ok, r in zip(reach, residual)]
+    return gammas, [jump if lev <= bottom else lost if lev > top else
+                    failed if r > _INVERT_TOL else None for lev, r in zip(levels, residual)]
 
 
 def _thresholds(law: RatioLaw, levels: np.ndarray) -> np.ndarray:
@@ -298,9 +301,9 @@ def _thresholds(law: RatioLaw, levels: np.ndarray) -> np.ndarray:
 def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
     """gamma such that pfa(gamma) = target (to 1e-6).
 
-    A target below the H0 law's truncated mass (2.2e-12 at K=50, N=1000) raises
-    DomainError; every c <= 0.9 at N=1000 inverts, and at c = 0.95 the law's
-    self-check raises NumericError.
+    A target below the H0 law's truncated mass (2.2e-12 at K=50, N=1000), or at or above
+    1 - its mass at T <= 1 (0.965 at K=2, N=10), raises DomainError; every c <= 0.9 at
+    N=1000 inverts, and at c = 0.95 the law's self-check raises NumericError.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pfa: pfa must lie in (0,1)")
@@ -310,7 +313,8 @@ def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
 def threshold_from_pmd(target: float, design: DetectorDesign, t1: float) -> float:
     """gamma such that pmd(gamma, t1) = target (to 1e-6).
 
-    A target above the H1 law's quadrature mass raises DomainError.
+    A target above the H1 law's quadrature mass, or at or below its mass at T <= 1
+    (2.1e-3 at K=2, N=10, t1=6), raises DomainError.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pmd: target must lie in (0, 1)")

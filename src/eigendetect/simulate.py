@@ -236,7 +236,6 @@ def run_trials(
     """
     if trials < 1:
         raise DomainError("run_trials: trials must be >= 1")
-    K, N = design.K, design.N
     if scenario is not None:
         if scenario.K != design.K:
             raise DomainError("run_trials: design and scenario disagree on K")

@@ -24,8 +24,14 @@ The solver starts from q(u0) = -Ai(u0), q'(u0) = -Ai'(u0) at u0 = 8
 adaptive high-order Runge-Kutta scheme down to x = -10, accumulating
 int q^2 and int u q^2 as extra state components.  The exactly known
 primitives of Ai^2 and u Ai^2 supply the [u0, inf) tail contributions.
-Interpolation is cubic in log space, which keeps the interpolated CDF
-monotone and the PDF positive all the way into both tails.
+The solve's rows log F, int_x^inf q^2 and q^2 on linspace(-10, 6, 1601)
+ship as ``tw2_table.npy`` (``np.save(path, build_tw2_table().columns)``),
+which :func:`default_table` loads, so no import needs scipy.
+
+Both tables are interpolated in log space by cubic Hermite pieces with
+the exact slopes d log F/dx = int q^2 and d log f/dx = int q^2 - q^2 /
+int q^2, which keeps the CDF monotone and the PDF positive into both
+tails; the CDF is 0 below the grid and 1 above it, the PDF 0 off it.
 """
 
 from __future__ import annotations
@@ -33,12 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.special import airy as _airy
-from scipy.special import ndtr
 
 from .errors import DomainError, NumericError
 
@@ -61,29 +64,29 @@ __all__ = [
 _X_LEFT = -10.0
 _X_RIGHT = 6.0
 _N_POINTS = 1601
+_INV_H = (_N_POINTS - 1) / (_X_RIGHT - _X_LEFT)  # grid points per unit of x
 _U0 = 8.0  # matching point where q is set to -Ai
 
 _AIRY_DOMAIN = 200.0
 
 
+def _airy(u, name):
+    """scipy's (Ai, Ai', Bi, Bi') at a finite real |u| <= 200."""
+    u = float(u)
+    if not abs(u) <= _AIRY_DOMAIN:  # also rejects nan and inf
+        raise DomainError(f"{name}: a finite |u| <= {_AIRY_DOMAIN:g} is required, got {u!r}")
+    from scipy.special import airy
+    return airy(u)
+
+
 def airy_ai(u: float) -> float:
     """Airy function Ai(u) for real u, |u| <= 200."""
-    u = float(u)
-    if not math.isfinite(u):
-        raise DomainError("airy_ai: argument must be finite")
-    if abs(u) > _AIRY_DOMAIN:
-        raise DomainError(f"airy_ai: |u| <= {_AIRY_DOMAIN:g} required, got {u!r}")
-    return float(_airy(u)[0])
+    return float(_airy(u, "airy_ai")[0])
 
 
 def airy_ai_prime(u: float) -> float:
     """Derivative Ai'(u), same domain as :func:`airy_ai`."""
-    u = float(u)
-    if not math.isfinite(u):
-        raise DomainError("airy_ai_prime: argument must be finite")
-    if abs(u) > _AIRY_DOMAIN:
-        raise DomainError(f"airy_ai_prime: |u| <= {_AIRY_DOMAIN:g} required, got {u!r}")
-    return float(_airy(u)[1])
+    return float(_airy(u, "airy_ai_prime")[1])
 
 
 @dataclass(frozen=True)
@@ -95,29 +98,23 @@ class TracyWidomTable:
     """
 
     grid: np.ndarray
+    columns: np.ndarray  # rows log F, int_x^inf q^2, q^2 on grid: the tw2_table.npy data
     cdf_values: np.ndarray
     pdf_values: np.ndarray
-    build_tolerance: float
-    _log_cdf: CubicSpline = field(repr=False, compare=False)
-    _log_pdf: CubicSpline = field(repr=False, compare=False)
+    # Hermite coefficients c0..c3 of log F and log f per grid interval
+    _log_cdf: np.ndarray = field(repr=False, compare=False)
+    _log_pdf: np.ndarray = field(repr=False, compare=False)
 
     def cdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.empty_like(x_arr, dtype=float)
-        lo = x_arr < self.grid[0]
-        hi = x_arr > self.grid[-1]
-        mid = ~(lo | hi)
-        out[lo] = 0.0
-        out[hi] = 1.0
-        out[mid] = np.exp(self._log_cdf(x_arr[mid]))
-        return out if x_arr.ndim else float(out)
+        x = np.asarray(x, dtype=float)
+        f = _exp_hermite(self._log_cdf, x)
+        out = np.where(x < _X_LEFT, 0.0, np.where(x > _X_RIGHT, 1.0, f))
+        return out if x.ndim else float(out)
 
     def pdf(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(x_arr, dtype=float)
-        mid = (x_arr >= self.grid[0]) & (x_arr <= self.grid[-1])
-        out[mid] = np.exp(self._log_pdf(x_arr[mid]))
-        return out if x_arr.ndim else float(out)
+        x = np.asarray(x, dtype=float)
+        out = np.where((x >= _X_LEFT) & (x <= _X_RIGHT), _exp_hermite(self._log_pdf, x), 0.0)
+        return out if x.ndim else float(out)
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -188,8 +185,8 @@ def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:
     if not 1e-12 <= tolerance <= 1e-4:
         raise DomainError("build_tw2_table: tolerance must lie in [1e-12, 1e-4]")
 
-    ai0 = airy_ai(_U0)
-    aip0 = airy_ai_prime(_U0)
+    from scipy.integrate import solve_ivp
+    ai0, aip0 = airy_ai(_U0), airy_ai_prime(_U0)
     # Closed-form tails over [u0, inf) from the primitives
     #   d/du (Ai'^2 - u Ai^2)                        = -Ai^2
     #   d/du (Ai Ai' - u Ai'^2 + u^2 Ai^2) / 3       = -u Ai^2   (sign folded below)
@@ -219,31 +216,43 @@ def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:
     int_q2 = sol.y[2][::-1] + tail_q2          # int_x^inf q^2
     int_uq2 = sol.y[3][::-1] + tail_uq2        # int_x^inf u q^2
     log_cdf = -(int_uq2 - grid * int_q2)
+    return _table(np.array([log_cdf, int_q2, sol.y[0][::-1] ** 2]))
+
+
+def _table(columns) -> TracyWidomTable:
+    """The table of the rows log F, int q^2, q^2 on the module's grid."""
+    grid = np.linspace(_X_LEFT, _X_RIGHT, _N_POINTS)
+    log_cdf, int_q2, q2 = columns
     log_pdf = log_cdf + np.log(int_q2)
-
-    cdf_values = np.exp(log_cdf)
-    pdf_values = np.exp(log_pdf)
+    cdf_values, pdf_values = np.exp(log_cdf), np.exp(log_pdf)
     _validate_table(grid, cdf_values, pdf_values)
-
-    for arr in (grid, cdf_values, pdf_values):
+    for arr in (grid, columns, cdf_values, pdf_values):
         arr.setflags(write=False)
-    return TracyWidomTable(
-        grid=grid,
-        cdf_values=cdf_values,
-        pdf_values=pdf_values,
-        build_tolerance=tolerance,
-        _log_cdf=CubicSpline(grid, log_cdf),
-        _log_pdf=CubicSpline(grid, log_pdf),
-    )
+    return TracyWidomTable(grid, columns, cdf_values, pdf_values, _hermite(log_cdf, int_q2),
+                           _hermite(log_pdf, int_q2 - q2 / int_q2))
+
+
+def _hermite(y, slope):
+    """Rows c0..c3 of the cubic in t = (x - x_j) / h matching y and slope at both
+    ends of each grid interval [x_j, x_j + h]."""
+    d0, d1, dy = slope[:-1] / _INV_H, slope[1:] / _INV_H, np.diff(y)
+    return np.array([y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+
+
+def _exp_hermite(coef, x):
+    """exp of the Hermite interpolant at x clamped to the grid (nan stays nan), by Horner."""
+    u = (np.minimum(np.maximum(x, _X_LEFT), _X_RIGHT) - _X_LEFT) * _INV_H
+    i = np.fmin(u, _N_POINTS - 2).astype(np.intp)  # fmin maps nan to the last interval
+    t = u - i
+    c0, c1, c2, c3 = coef
+    return np.exp(((c3.take(i) * t + c2.take(i)) * t + c1.take(i)) * t + c0.take(i))
 
 
 def _validate_table(grid, cdf_values, pdf_values):
     if not np.all(np.diff(cdf_values) > 0.0):
         raise NumericError("Tracy-Widom table: CDF not strictly increasing")
-    if cdf_values[0] < 0.0 or cdf_values[-1] > 1.0:
-        raise NumericError("Tracy-Widom table: CDF outside [0, 1]")
-    if np.any(pdf_values < 0.0):
-        raise NumericError("Tracy-Widom table: negative PDF values")
+    if cdf_values[-1] > 1.0:
+        raise NumericError("Tracy-Widom table: CDF above 1")
     mass = float(np.trapezoid(pdf_values, grid))
     if abs(mass - 1.0) > 1e-4:
         raise NumericError(f"Tracy-Widom table: PDF mass {mass!r} outside 1 +/- 1e-4")
@@ -253,8 +262,9 @@ def _validate_table(grid, cdf_values, pdf_values):
 
 @lru_cache(maxsize=1)
 def default_table() -> TracyWidomTable:
-    """Shared table at the default build tolerance (built lazily once)."""
-    return build_tw2_table()
+    """Shared table, read once from the packaged solve ``tw2_table.npy``."""
+    with resources.files(__package__).joinpath("tw2_table.npy").open("rb") as fh:
+        return _table(np.load(fh))
 
 
 def tw2_cdf(x):
@@ -284,6 +294,7 @@ def dump_table_csv(path, table: TracyWidomTable | None = None) -> None:
 
 def gue_cdf(k: int, x):
     """CDF of the largest eigenvalue of a k x k GUE (k = 1 or 2)."""
+    from scipy.special import ndtr
     _check_gue_order(k)
     x_arr = np.asarray(x, dtype=float)
     if k == 1:
@@ -306,6 +317,7 @@ def gue_pdf(k: int, x):
     if k == 1:
         out = np.exp(-0.5 * x_arr ** 2) / math.sqrt(2.0 * math.pi)
     else:
+        from scipy.special import ndtr
         e = ndtr(x_arr)
         out = (
             np.exp(-0.5 * x_arr ** 2) * (1.0 + x_arr ** 2) * e / math.sqrt(2.0 * math.pi)

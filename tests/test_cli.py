@@ -271,6 +271,7 @@ def test_io_failure_exit_code(capsys):
         ("lut", "--k", ",", "--n", "1000", "--pfa", "0.01"),
         ("threshold", "--k", "abc", "--n", "1000", "--pfa", "0.01"),
         ("pfa", "--k", "50", "--n", "1000"),
+        ("threshold", "--k", "2", "--n", "10", "--pfa", "0.97"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

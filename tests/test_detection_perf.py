@@ -2,6 +2,10 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,24 @@ def test_threshold_beyond_truncated_mass_raises():
     assert threshold_from_pfa(2 * lost, D50) > 1.0
 
 
+def test_target_inside_the_t_le_1_jump_raises():
+    # the limiting law puts mass at T <= 1, which cdf folds into a jump at 1:
+    # 0.035 for H0 and 2.1e-3 for H1 (t1 = 6) at (2, 10); no threshold reaches a
+    # CDF level inside it, so the error names that mass
+    d = DetectorDesign(2, 10)
+    for target in (1e-4, 1e-7):
+        with pytest.raises(DomainError, match="puts 0.0021 of its mass at T <= 1"):
+            threshold_from_pmd(target, d, 6.0)
+    with pytest.raises(DomainError, match="puts 0.035 of its mass at T <= 1"):
+        threshold_from_pfa(0.97, d)
+    g = threshold_from_pfa(0.96, d)  # just above the jump still inverts
+    assert g > 1.0 and abs(pfa(g, d) - 0.96) <= 1e-6
+    g = threshold_from_pmd(3e-3, d, 6.0)
+    assert g > 1.0 and abs(pmd(g, d, 6.0) - 3e-3) <= 1e-6
+    table = build_lut([2], [10], [0.01, 0.97])
+    assert isinstance(table[1].error, DomainError) and table[0].error is None
+
+
 def test_threshold_takes_at_most_8_cdf_calls(monkeypatch):
     calls = []
     cdf = RatioLaw.cdf
@@ -234,6 +256,20 @@ def test_no_scipy_root_finder_left():
     for module in (performance, tracy_widom):
         source = inspect.getsource(module)
         assert "scipy.optimize" not in source and "brentq" not in source
+
+
+def test_h0_path_imports_no_scipy():
+    code = (
+        "import sys, eigendetect, eigendetect.cli\n"
+        "from eigendetect import DetectorDesign, threshold_from_pfa\n"
+        "threshold_from_pfa(0.01, DetectorDesign(50, 1000))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(performance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threshold_independent_of_everything_but_geometry():

@@ -1,6 +1,7 @@
 """Tests for the limiting-law engine (Tracy-Widom and small-GUE)."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -105,6 +106,55 @@ def test_table_structural_invariants():
     assert abs(mass - 1.0) <= 1e-4
     assert tab.cdf_values[0] <= 1e-8
     assert tab.cdf_values[-1] >= 1.0 - 1e-8
+
+
+def test_committed_table_matches_fresh_solve():
+    # the packaged rows log F, int q^2, q^2 are bit-identical to build_tw2_table()
+    # where they were made.  A 1-ulp change of the initial value Ai(8) or Ai'(8) --
+    # what another libm or scipy build can do -- moves them by up to 1.0e-11, 7.0e-11
+    # and 7.2e-10 relative on x >= -6, and by up to 2.9e-7, 1.2e-6 and 2.2e-3 left of
+    # it, where the backward solve has left the Hastings-McLeod solution; the bounds
+    # are 10x that
+    fresh, committed = build_tw2_table().columns, default_table().columns
+    assert fresh.shape == committed.shape == (3, 1601)
+    gap = np.abs(fresh - committed) / np.abs(committed)
+    right = default_table().grid >= -6.0
+    assert np.all(gap[:, right].max(axis=1) <= [1e-10, 7e-10, 7.2e-9])
+    assert np.all(gap.max(axis=1) <= [2.9e-6, 1.2e-5, 2.2e-2])
+
+
+def test_table_file_is_a_package_resource(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with resources.files("eigendetect").joinpath("tw2_table.npy").open("rb") as fh:
+        data = np.load(fh)
+    assert data.dtype == np.float64 and np.array_equal(data, default_table().columns)
+
+
+def test_hermite_edges_nan_and_nodes():
+    tab = default_table()
+    assert tw2_cdf(-10.0 - 1e-9) == 0.0 and tw2_cdf(6.0 + 1e-9) == 1.0
+    assert tw2_pdf(-10.0 - 1e-9) == 0.0 and tw2_pdf(6.0 + 1e-9) == 0.0
+    x = np.array([-np.inf, np.nan, np.inf, -1e300, 1e300])
+    assert np.array_equal(tw2_cdf(x), [0.0, np.nan, 1.0, 0.0, 1.0], equal_nan=True)
+    assert np.array_equal(tw2_pdf(x), [0.0, 0.0, 0.0, 0.0, 0.0])
+    assert isinstance(tw2_cdf(0.0), float) and tw2_cdf(np.zeros((2, 3))).shape == (2, 3)
+    # the interpolant passes through every node, the grid ends included
+    assert np.allclose(tw2_cdf(tab.grid), tab.cdf_values, rtol=1e-13, atol=0.0)
+    assert np.allclose(tw2_pdf(tab.grid), tab.pdf_values, rtol=1e-13, atol=0.0)
+
+
+def test_hermite_matches_spline_oracle():
+    # a not-a-knot cubic spline through the same log values agrees to 7.0e-13 (log F)
+    # and 8.8e-11 (log f) on [-8, 6]; with the interval index off by one, log F
+    # misses by 4.7e-9
+    from scipy.interpolate import CubicSpline
+
+    tab = default_table()
+    log_cdf, int_q2, _ = tab.columns
+    xs = np.linspace(-8.0, 6.0, 14001)
+    assert np.max(np.abs(np.log(tw2_cdf(xs)) - CubicSpline(tab.grid, log_cdf)(xs))) <= 1e-11
+    log_pdf = CubicSpline(tab.grid, log_cdf + np.log(int_q2))(xs)
+    assert np.max(np.abs(np.log(tw2_pdf(xs)) - log_pdf)) <= 1e-9
 
 
 def test_cdf_monotone_on_dense_grid():
