@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_normalize_argv(argv))
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:  # MemoryError: a count too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

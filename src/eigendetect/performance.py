@@ -5,16 +5,16 @@ Builds the limiting law of the eigenvalue ratio T under each hypothesis
 floor for the signal case), evaluates false-alarm and missed-detection
 probabilities by quadrature, and inverts them into decision thresholds.
 
-The ratio CDF is computed as a single quadrature over the denominator
-density,
+The ratio CDF is one Gauss-Legendre quadrature over the numerator density,
 
-    F_T(gamma) = int_0^inf f_den(x) F_num(gamma x) dx,
+    F_T(gamma) = int f_num(y) F_TW((c_den - y / gamma) / s_den) dy,
 
-which equals the integral of the textbook ratio density by Fubini and
-needs one Gauss-Legendre rule instead of a nested one.  The noise
-variance cancels in the ratio, so no law below takes it as a parameter;
-the signal-present law depends on the scenario only through the top
-spike eigenvalue t1.
+the chance that lambda_min = c_den - s_den Z_TW is positive and at least
+lambda_max / gamma (Fubini on the textbook ratio density).  Both hypotheses
+read only the Tracy-Widom table: the signal's Gaussian spike enters as
+weights.  The noise variance cancels in the ratio, so no law below takes it
+as a parameter; the signal-present law depends on the scenario only through
+the top spike eigenvalue t1.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ __all__ = [
     "write_roc_csv",
 ]
 
-_QUAD_NODES = 256
-_SUPPORT_SIGMAS = 12.0       # numerator scales past which its CDF is exactly 1
+_QUAD_NODES = 128
+_SPIKE_SIGMAS = 8.5          # Gaussian numerator window half-width: 1e-17 mass beyond each end
 _SELF_CHECK_TOL = 1e-8       # node-doubling agreement required at startup
 _CRITICAL_MARGIN = 1e-6      # refuse spikes within this relative margin of 1+sqrt(c)
 _INVERT_TOL = 1e-6
@@ -115,55 +115,51 @@ class RatioLaw:
     numerator: EdgeLaw
     denominator: EdgeLaw
     t1: float | None = None
-    # built once, self-checked: denominator nodes x (ascending), weights w * f_den(x)
-    _x: np.ndarray = field(init=False, repr=False, compare=False)
-    _wx: np.ndarray = field(init=False, repr=False, compare=False)
+    # built once, self-checked: numerator nodes y (ascending, y[0] = 0), weights w * f_num(y)
+    _y: np.ndarray = field(init=False, repr=False, compare=False)
+    _wy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, wx = self._rule(_QUAD_NODES)
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_wx", wx)
+        for name, value in zip(("_y", "_wy"), self._rule(_QUAD_NODES)):
+            object.__setattr__(self, name, value)
         self._self_check()
 
     def _rule(self, nodes: int):
-        """Gauss-Legendre nodes x and weights w * f_den(x) on the Tracy-Widom table's
-        grid mapped to x (clipped at x >= 0): off it the table pdf, f_den, is 0."""
-        table = default_table()
-        center, s = self.denominator.center, self.denominator.sigma(self.design.N)
-        lo = max(0.0, center - table.grid[-1] * s)
-        hi = center - table.grid[0] * s
+        """Gauss-Legendre nodes y and weights w * f_num(y), scaled to the numerator CDF's mass,
+        on its window (the Tracy-Widom grid or +-_SPIKE_SIGMAS) clipped at y >= 0, after a node
+        y = 0 holding the mass below the window: lambda_max <= 0 < lambda_min makes T <= 0."""
+        center, s = self.numerator.center, self.numerator.sigma(self.design.N)
+        if self.numerator.kind == "gaussian":
+            (z_lo, z_hi), density = (-_SPIKE_SIGMAS, _SPIKE_SIGMAS), lambda z: np.exp(-0.5 * z * z)
+            below = lambda ends: [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in ends]
+        else:
+            table = default_table()
+            (z_lo, z_hi), density, below = table.grid[[0, -1]], table.pdf, table.cdf
+        z_lo = max(z_lo, -center / s)
         u, w = _gauss_legendre(nodes)
-        x = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
-        wx = 0.5 * (hi - lo) * w * (table.pdf((center - x) / s) / s)
-        return x, wx
+        z = 0.5 * (z_hi - z_lo) * u + 0.5 * (z_hi + z_lo)
+        (f_lo, f_hi), wz = below(np.array([z_lo, z_hi])), w * density(z)
+        wz *= (f_hi - f_lo) / wz.sum()
+        return np.concatenate(([0.0], center + s * z)), np.concatenate(([f_lo], wz))
 
-    # -- numerator CDF / PDF ------------------------------------------------
-    def _num_cdf(self, y):
-        s = self.numerator.sigma(self.design.N)
-        z = (np.asarray(y, float) - self.numerator.center) / s
-        if self.numerator.kind == "gaussian":
-            from scipy.special import ndtr  # H1 only: the H0 path needs no scipy
-            return ndtr(z)
-        return default_table().cdf(z)
-
-    def _num_pdf(self, y):
-        s = self.numerator.sigma(self.design.N)
-        z = (np.asarray(y, float) - self.numerator.center) / s
-        if self.numerator.kind == "gaussian":
-            return np.exp(-0.5 * z ** 2) / (s * math.sqrt(2.0 * math.pi))
-        return default_table().pdf(z) / s
+    def _den_z(self, gamma, y):
+        """Tracy-Widom argument (c_den - y / gamma) / s_den of P(lambda_min >= y / gamma)
+        on the grid gamma x y, with gamma read at 1 or above."""
+        den = self.denominator
+        return (den.center - y / np.maximum(gamma, 1.0)[:, None]) / den.sigma(self.design.N)
 
     def cdf(self, gamma):
         """F_T(gamma); zero for gamma <= 1 (eigenvalue ordering)."""
         g = np.atleast_1d(np.asarray(gamma, float))
-        out = np.clip(self._num_cdf(g[:, None] * self._x) @ self._wx, 0.0, 1.0)
+        out = np.clip(default_table().cdf(self._den_z(g, self._y)) @ self._wy, 0.0, 1.0)
         out[g <= 1.0] = 0.0
         return out if np.ndim(gamma) else float(out[0])
 
     def pdf(self, t):
-        """Ratio density int_0^inf x f_num(t x) f_den(x) dx, for t > 1."""
+        """Ratio density int f_num(y) f_TW((c_den - y/t)/s_den) y / (t^2 s_den) dy, for t > 1."""
         t_arr = np.atleast_1d(np.asarray(t, float))
-        out = self._num_pdf(t_arr[:, None] * self._x) @ (self._x * self._wx)
+        out = default_table().pdf(self._den_z(t_arr, self._y)) @ (self._y * self._wy)
+        out /= np.maximum(t_arr, 1.0) ** 2 * self.denominator.sigma(self.design.N)
         out[t_arr <= 1.0] = 0.0
         return out if np.ndim(t) else float(out[0])
 
@@ -172,10 +168,10 @@ class RatioLaw:
 
     def _self_check(self) -> None:
         """Node-doubling consistency of the quadrature at a reference point."""
-        g = self.center_ratio()
-        x2, wx2 = self._rule(2 * _QUAD_NODES)
-        a = float(self._num_cdf(g * self._x) @ self._wx)
-        b = float(self._num_cdf(g * x2) @ wx2)
+        y2, wy2 = self._rule(2 * _QUAD_NODES)
+        n, y = self._y.size, np.concatenate((self._y, y2))  # both rules in one table call
+        f = default_table().cdf(self._den_z(np.array([self.center_ratio()]), y))[0]
+        a, b = float(f[:n] @ self._wy), float(f[n:] @ wy2)
         if abs(a - b) > _SELF_CHECK_TOL:
             raise NumericError(
                 f"ratio-law quadrature self-check failed: |{a!r} - {b!r}| > {_SELF_CHECK_TOL}"
@@ -264,15 +260,16 @@ def _invert(law: RatioLaw, levels: np.ndarray):
     is out of reach, and a residual above _INVERT_TOL is a failed inversion.
 
     F_T(1+), one ulp above 1, is the mass the law puts at T <= 1, which cdf folds into
-    a jump at 1.  Past gamma_sat every node x >= x_min puts gamma x at least
-    _SUPPORT_SIGMAS numerator scales above its center, where the numerator CDF is
-    exactly 1, so F_T(gamma_sat) is the law's full quadrature mass.  The seed grid
-    between them pairs numerator and denominator quantiles at the same z.
+    a jump at 1.  At gamma_sat = y_max / x_sat every y / gamma is at most x_sat, the
+    denominator at the Tracy-Widom table's right edge (floored at 1e-6 c_den if that is
+    at lambda_min <= 0), so F_T(gamma_sat) is the law's mass at lambda_min > 0 to 1e-8.
+    The seed grid between them pairs numerator and denominator quantiles at the same z.
     """
     num, den, n = law.numerator, law.denominator, law.design.N
-    g_sat = (num.center + _SUPPORT_SIGMAS * num.sigma(n)) / law._x[0]
+    x_sat = max(den.center - default_table().grid[-1] * den.sigma(n), 1e-6 * den.center)
+    g_sat = law._y[-1] / x_sat
     g_1 = np.nextafter(1.0, 2.0)
-    x = np.maximum(den.center - _SEED_Z * den.sigma(n), law._x[0])
+    x = np.maximum(den.center - _SEED_Z * den.sigma(n), x_sat)
     grid = np.r_[g_1, np.clip((num.center + _SEED_Z * num.sigma(n)) / x, g_1, g_sat), g_sat]
     f_grid = law.cdf(grid)
     bottom, top = float(f_grid[0]), float(f_grid[-1])
@@ -282,8 +279,8 @@ def _invert(law: RatioLaw, levels: np.ndarray):
     jump = DomainError(f"target out of reach: the {law.hypothesis} limiting law puts "
                        f"{bottom:.2g} of its mass at T <= 1, where the ratio cannot go")
     lost = DomainError(f"target out of reach: the {law.hypothesis} ratio CDF only covers "
-                       f"[0, {top!r}]; its truncated quadrature window holds all but "
-                       f"{1.0 - top:.3g} of the law's mass")
+                       f"[0, {top!r}]; lambda_min > 0 and the quadrature window hold all "
+                       f"but {1.0 - top:.3g} of the law's mass")
     failed = NumericError("threshold inversion did not meet the 1e-6 residual bound")
     return gammas, [jump if lev <= bottom else lost if lev > top else
                     failed if r > _INVERT_TOL else None for lev, r in zip(levels, residual)]
@@ -292,18 +289,18 @@ def _invert(law: RatioLaw, levels: np.ndarray):
 def _thresholds(law: RatioLaw, levels: np.ndarray) -> np.ndarray:
     """_invert's thresholds; the first failing level raises its error."""
     gammas, errors = _invert(law, levels)
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for exc in filter(None, errors):
+        raise exc
     return gammas
 
 
 def threshold_from_pfa(target: float, design: DetectorDesign) -> float:
     """gamma such that pfa(gamma) = target (to 1e-6).
 
-    A target below the H0 law's truncated mass (2.2e-12 at K=50, N=1000), or at or above
-    1 - its mass at T <= 1 (0.965 at K=2, N=10), raises DomainError; every c <= 0.9 at
-    N=1000 inverts, and at c = 0.95 the law's self-check raises NumericError.
+    A target at or above 1 - the H0 law's mass at T <= 1 (0.965 at K=2, N=10) raises
+    DomainError, and so does one below the mass it leaves out of reach: the numerator's
+    tail past the Tracy-Widom table (3.8e-12 at K=50, N=1000) plus the mass at
+    lambda_min <= 0 (4.0e-6 at K=990, N=1000; 6.8e-3 at K=99, N=100).
     """
     if not 0.0 < target < 1.0:
         raise DomainError("threshold_from_pfa: pfa must lie in (0,1)")

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from eigendetect import performance
 from eigendetect.cli import main, parse_grid, parse_snr
-from eigendetect.errors import DomainError
+from eigendetect.errors import DomainError, NumericError
 from eigendetect.performance import pfa, pmd
 from eigendetect.spiked import DetectorDesign
 
@@ -77,16 +78,15 @@ def test_threshold_rejects_bad_pfa(capsys):
 
 
 def test_pfa_pmd_subcommands_consistent(capsys):
+    # the CLI prints the library's value at 10 significant digits, so the text matches
     rc, out, _ = run_cli(capsys, "pfa", "--k", "50", "--n", "1000", "--gamma", "2.5")
     assert rc == 0
-    assert float(parse_kv(out)["pfa"]) == pytest.approx(pfa(2.5, DetectorDesign(50, 1000)), rel=1e-12)
+    assert out == "pfa %.10g\n" % pfa(2.5, DetectorDesign(50, 1000))
     rc, out, _ = run_cli(
         capsys, "pmd", "--k", "50", "--n", "1000", "--gamma", "2.5", "--t1", "1.5"
     )
     assert rc == 0
-    assert float(parse_kv(out)["pmd"]) == pytest.approx(
-        pmd(2.5, DetectorDesign(50, 1000), 1.5), rel=1e-12
-    )
+    assert out == "pmd %.10g\n" % pmd(2.5, DetectorDesign(50, 1000), 1.5)
 
 
 def test_signal_flags_are_exclusive(capsys):
@@ -176,16 +176,26 @@ def test_table_stdout_matches_out_file(tmp_path, capsys, argv):
         assert out.splitlines()[0] == "K,N,pfa,gamma,snr,pmd"
 
 
-def test_lut_failed_cells_named_on_stderr(capsys):
-    # (2, 7) cannot reach P_fa = 1e-5 (DomainError); (950, 1000) fails the
-    # law's self-check (NumericError); the good cell is still printed
+def test_lut_failed_cells_named_on_stderr(capsys, monkeypatch):
+    # (2, 7) cannot reach P_fa = 1e-5 and (950, 7) is no design (DomainError);
+    # the good cells, (950, 1000) among them, are still printed
     rc, out, err = run_cli(capsys, "lut", "--k", "2,950", "--n", "7,1000", "--pfa", "1e-5")
     assert rc == 2
-    assert out.splitlines()[0] == "K,N,pfa,gamma" and len(out.splitlines()) == 2
+    assert out.splitlines()[0] == "K,N,pfa,gamma" and len(out.splitlines()) == 3
     assert out.splitlines()[1].startswith("2,1000,1e-05,")
+    assert out.splitlines()[2].startswith("950,1000,1e-05,")
     lines = err.splitlines()
-    assert lines[0].startswith("error: K=2 N=7 pfa=1e-05: ")
-    assert any(ln.startswith("error: K=950 N=1000 pfa=1e-05: ") for ln in lines)
+    assert len(lines) == 2 and lines[0].startswith("error: K=2 N=7 pfa=1e-05: ")
+    assert lines[1].startswith("error: K=950 N=7 pfa=1e-05: ")
+    # a cell whose inversion fails numerically alone exits 4
+    invert = performance._invert
+
+    def failing(law, levels):
+        if law.design.K == 950:
+            raise NumericError("threshold inversion did not meet the 1e-6 residual bound")
+        return invert(law, levels)
+
+    monkeypatch.setattr(performance, "_invert", failing)
     rc, out, err = run_cli(capsys, "lut", "--k", "950", "--n", "1000", "--pfa", "0.01")
     assert rc == 4
     assert out == "K,N,pfa,gamma\n" and err.startswith("error: K=950 N=1000 pfa=0.01: ")
@@ -272,6 +282,10 @@ def test_io_failure_exit_code(capsys):
         ("threshold", "--k", "abc", "--n", "1000", "--pfa", "0.01"),
         ("pfa", "--k", "50", "--n", "1000"),
         ("threshold", "--k", "2", "--n", "10", "--pfa", "0.97"),
+        # counts whose arrays numpy refuses to allocate (73 TiB) before touching memory
+        ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid",
+         "0.001:0.5:10000000000000log"),
+        ("simulate", "--k", "20", "--n", "400", "--trials", "10000000000000"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from eigendetect import performance, tracy_widom
-from eigendetect.errors import DomainError, NotIdentifiableError, NumericError
+from eigendetect.errors import DomainError, NotIdentifiableError
 from eigendetect.performance import (
     EdgeLaw,
     RatioLaw,
@@ -83,7 +84,7 @@ def test_h1_law_refuses_subcritical_spike():
 
 def test_pfa_boundaries():
     assert pfa(1.0, D50) == 1.0
-    assert pfa(50.0, D50) <= 1e-9  # limited by the 12-sigma window truncation
+    assert pfa(50.0, D50) <= 1e-9  # limited by the numerator window's Tracy-Widom edge
     with pytest.raises(DomainError):
         pfa(0.5, D50)
 
@@ -107,14 +108,19 @@ def test_error_probabilities_monotone_on_grid():
 
 
 def test_component_densities_normalized_inside_quadrature():
-    for law in (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=2.0)):
-        # the denominator rule's weights w * f_den(x) carry the density mass
-        assert abs(float(np.sum(law._wx)) - 1.0) <= 1e-6
-        n = law.numerator
-        s = n.sigma(D50.N)
-        ys = np.linspace(n.center - 12 * s, n.center + 12 * s, 20001)
-        num_mass = np.trapezoid(law._num_pdf(ys), ys)
-        assert abs(num_mass - 1.0) <= 1e-6
+    d29 = DetectorDesign(2, 9)
+    laws = (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=2.0),
+            centering_constants(d29, "H0"))
+    for law in laws:
+        # the numerator rule's weights w * f_num(y) carry the density mass
+        assert abs(float(np.sum(law._wy)) - 1.0) <= 1e-6
+        assert law._y[0] == 0.0 and np.all(np.diff(law._y) > 0.0)
+    assert laws[0]._wy[0] < 1e-30 and laws[1]._wy[0] < 1e-15
+    # at K=2 the Tracy-Widom numerator puts mass at lambda_max <= 0; the y = 0
+    # node keeps it, since lambda_max <= 0 < lambda_min puts T below every gamma
+    n = laws[2].numerator
+    below = tracy_widom.tw2_cdf(-n.center / n.sigma(d29.N))
+    assert below > 1e-4 and laws[2]._wy[0] == pytest.approx(below, rel=1e-12)
 
 
 def test_ratio_pdf_matches_cdf_derivative():
@@ -196,19 +202,17 @@ def test_threshold_rejects_bad_targets():
 
 @pytest.mark.parametrize("N", [100, 1000])
 def test_threshold_range_sweeps_aspect_ratio(N):
-    # every (c, P_fa) either inverts to the 1e-6 residual or raises a typed
-    # error, every case up to c = 0.85 inverts, and only c > 0.9 may fail
-    # the quadrature self-check
-    for c in np.linspace(0.05, 0.95, 19):
+    # every (c, P_fa) up to c = 0.99 either inverts to the 1e-6 residual or raises
+    # a DomainError naming a law mass out of reach above P_fa (the lambda_min <= 0
+    # mass), every case up to c = 0.85 inverts, and no c fails numerically
+    for c in np.r_[np.linspace(0.05, 0.95, 19), 0.92, 0.97, 0.99]:
         d = DetectorDesign(max(2, round(c * N)), N)
         for p in (0.1, 1e-2, 1e-4, 1e-6):
             try:
                 g = threshold_from_pfa(p, d)
-            except NumericError:
-                assert d.c > 0.9
-                continue
-            except DomainError:
-                assert d.c > 0.85
+            except DomainError as exc:
+                lost = re.search(r"all but (\S+) of the law's mass", str(exc))
+                assert d.c > 0.85 and lost and float(lost.group(1)) > p
                 continue
             assert g > 1.0 and abs(pfa(g, d) - p) <= 1e-6
 
@@ -220,6 +224,10 @@ def test_threshold_beyond_truncated_mass_raises():
     with pytest.raises(DomainError, match=f"all but {lost:.3g} of the law's mass"):
         threshold_from_pfa(lost / 2, D50)
     assert threshold_from_pfa(2 * lost, D50) > 1.0
+    # at high c the law puts mass at lambda_min <= 0, where T has no finite value
+    for K, N, p in ((990, 1000, 1e-6), (99, 100, 1e-4)):
+        with pytest.raises(DomainError, match="of the law's mass"):
+            threshold_from_pfa(p, DetectorDesign(K, N))
 
 
 def test_target_inside_the_t_le_1_jump_raises():
@@ -259,10 +267,14 @@ def test_no_scipy_root_finder_left():
 
 
 def test_h0_path_imports_no_scipy():
+    # neither hypothesis' analytic path loads scipy: the signal law enters as weights
     code = (
         "import sys, eigendetect, eigendetect.cli\n"
         "from eigendetect import DetectorDesign, threshold_from_pfa\n"
-        "threshold_from_pfa(0.01, DetectorDesign(50, 1000))\n"
+        "from eigendetect.performance import pmd, roc, threshold_from_pmd\n"
+        "d = DetectorDesign(50, 1000)\n"
+        "g = threshold_from_pfa(0.01, d)\n"
+        "pmd(g, d, 1.5), roc(d, 1.5, [0.01, 0.1]), threshold_from_pmd(0.1, d, 1.5)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(performance.__file__).resolve().parents[1])
@@ -375,12 +387,13 @@ def test_roc_csv_format(tmp_path):
 # --- quadrature internals ---------------------------------------------------------
 
 def test_quadrature_node_doubling_agreement():
-    for law in (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=1.5)):
-        g = law.center_ratio()
-        x2, wx2 = law._rule(512)
-        assert law._x.size == 256
-        a = law.cdf(g)
-        b = float(law._num_cdf(g * x2) @ wx2)
+    for law in (centering_constants(D50, "H0"), centering_constants(D50, "H1", t1=1.5),
+                centering_constants(DetectorDesign(950, 1000), "H0")):
+        g = np.array([law.center_ratio()])
+        y2, wy2 = law._rule(256)
+        assert law._y.size == 129  # 128 Gauss-Legendre nodes after the y = 0 node
+        a = law.cdf(g[0])
+        b = (tracy_widom.tw2_cdf(law._den_z(g, y2)) @ wy2).item()
         assert abs(a - b) < 1e-8
 
 
