@@ -35,6 +35,7 @@ from .simulate import (
 )
 from .spiked import (
     DetectorDesign,
+    Modulation,
     critical_snr,
     min_samples,
     scenario_from_json,
@@ -184,6 +185,7 @@ def cmd_lut(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, design, t1 = _h1_inputs(args, allow_none=True)
+    law = centering_constants(design, "H0" if t1 is None else "H1", t1=t1)  # before any trial
     if scenario is None and t1 is not None:
         # --snr/--t1 shortcut: draw a single-source channel from the seed
         rho = (t1 - 1.0) / design.K
@@ -191,10 +193,6 @@ def cmd_simulate(args) -> int:
             design.K, rho, modulation=args.modulation, seed=args.seed
         )
     batch = run_trials(design, scenario, trials=args.trials, seed=args.seed)
-    if scenario is None:
-        law = centering_constants(design, "H0")
-    else:
-        law = centering_constants(design, "H1", t1=t1)
     ks = ks_distance(batch, law.cdf)
     print("ks %.6f" % ks)
     if args.out:
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signal(p)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modulation", type=str, default="gaussian")
+    p.add_argument("--modulation", default="gaussian", choices=[m.value for m in Modulation])
     p.add_argument("--out", type=str, help="empirical-vs-analytical CDF CSV")
     p.add_argument("--dump", type=str, help="per-trial batch CSV")
     p.set_defaults(func=cmd_simulate)

@@ -12,9 +12,11 @@ The ratio CDF is one Gauss-Legendre quadrature over the numerator density,
 the chance that lambda_min = c_den - s_den Z_TW is positive and at least
 lambda_max / gamma (Fubini on the textbook ratio density).  Both hypotheses
 read only the Tracy-Widom table: the signal's Gaussian spike enters as
-weights.  The noise variance cancels in the ratio, so no law below takes it
-as a parameter; the signal-present law depends on the scenario only through
-the top spike eigenvalue t1.
+weights.  The noise variance cancels in the ratio, so a law is the pair
+(design, t1): (K, N) alone under H0, and (K, N, P) plus the top spike
+eigenvalue t1 under H1.  ``RatioLaw`` derives its edge centres and scales
+from the paper's constants mu_plus/nu_plus, mu_minus/nu_minus and
+mu_spike/nu_spike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .spiked import DetectorDesign, spike_from_snr
 from .tracy_widom import default_table, invert_cdf
 
 __all__ = [
-    "EdgeLaw",
     "RatioLaw",
     "LutRow",
     "mu_plus",
@@ -89,52 +90,65 @@ def nu_spike(t1: float, c: float) -> float:
 
 
 @dataclass(frozen=True)
-class EdgeLaw:
-    """One edge of the spectrum: distribution kind plus centering/scaling.
+class RatioLaw:
+    """Limiting law of T = lambda_max / lambda_min: the noise-only (H0) law when ``t1``
+    is None, else the signal-present (H1) law of the top spike eigenvalue ``t1``.
 
-    ``scale`` keeps its sign (negative for the lower edge, whose
-    fluctuations are a reflected Tracy-Widom); ``rate`` is the exponent
-    of N in the convergence rate.
+    The pair (design, t1) fixes the law; its edges are derived once from the paper's
+    constants.  The numerator is Tracy-Widom at mu_plus(c), scale nu_plus(c) N^(-2/3),
+    under H0, and Gaussian at mu_spike(t1, c), scale nu_spike(t1, c) N^(-1/2), under H1.
+    The denominator is the reflected Tracy-Widom lower edge at mu_minus, scale
+    |nu_minus| N^(-2/3), of c under H0 and of c' = (K - P) / N under H1.
     """
 
-    kind: str  # "tracy_widom" | "gaussian"
-    center: float
-    scale: float
-    rate: float
-
-    def sigma(self, n_samples: int) -> float:
-        return abs(self.scale) * n_samples ** (-self.rate)
-
-
-@dataclass(frozen=True)
-class RatioLaw:
-    """Limiting law of T = lambda_max / lambda_min under one hypothesis."""
-
-    hypothesis: str  # "H0" | "H1"
     design: DetectorDesign
-    numerator: EdgeLaw
-    denominator: EdgeLaw
     t1: float | None = None
+    num_center: float = field(init=False, compare=False)
+    num_sigma: float = field(init=False, compare=False)
+    den_center: float = field(init=False, compare=False)
+    den_sigma: float = field(init=False, compare=False)
     # built once, self-checked: numerator nodes y (ascending, y[0] = 0), weights w * f_num(y)
     _y: np.ndarray = field(init=False, repr=False, compare=False)
     _wy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        d, t1 = self.design, self.t1
+        if t1 is None:
+            num, c_den = (mu_plus(d.c), nu_plus(d.c) * d.N ** (-2.0 / 3.0)), d.c
+        else:
+            if not math.isfinite(t1):
+                raise DomainError(f"t1 must be finite, got {t1!r}")
+            if t1 < d.critical_t1 * (1.0 + _CRITICAL_MARGIN):
+                raise NotIdentifiableError(
+                    f"t1={t1:.6g} does not clear the phase transition 1+sqrt(c)="
+                    f"{d.critical_t1:.6g}; below it the noise-only (H0) law applies"
+                )
+            try:
+                num, c_den = (mu_spike(t1, d.c), nu_spike(t1, d.c) * d.N ** (-0.5)), d.c_prime
+            except OverflowError:
+                raise DomainError(f"t1={t1:.6g} is too large: (t1-1)^2 overflows") from None
+        den = mu_minus(c_den), abs(nu_minus(c_den)) * d.N ** (-2.0 / 3.0)
+        for name, value in zip(("num_center", "num_sigma", "den_center", "den_sigma"), num + den):
+            object.__setattr__(self, name, value)
         for name, value in zip(("_y", "_wy"), self._rule(_QUAD_NODES)):
             object.__setattr__(self, name, value)
         self._self_check()
+
+    @property
+    def hypothesis(self) -> str:
+        return "H0" if self.t1 is None else "H1"
 
     def _rule(self, nodes: int):
         """Gauss-Legendre nodes y and weights w * f_num(y), scaled to the numerator CDF's mass,
         on its window (the Tracy-Widom grid or +-_SPIKE_SIGMAS) clipped at y >= 0, after a node
         y = 0 holding the mass below the window: lambda_max <= 0 < lambda_min makes T <= 0."""
-        center, s = self.numerator.center, self.numerator.sigma(self.design.N)
-        if self.numerator.kind == "gaussian":
-            (z_lo, z_hi), density = (-_SPIKE_SIGMAS, _SPIKE_SIGMAS), lambda z: np.exp(-0.5 * z * z)
-            below = lambda ends: [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in ends]
-        else:
+        center, s = self.num_center, self.num_sigma
+        if self.t1 is None:
             table = default_table()
             (z_lo, z_hi), density, below = table.grid[[0, -1]], table.pdf, table.cdf
+        else:
+            (z_lo, z_hi), density = (-_SPIKE_SIGMAS, _SPIKE_SIGMAS), lambda z: np.exp(-0.5 * z * z)
+            below = lambda ends: [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in ends]
         z_lo = max(z_lo, -center / s)
         u, w = _gauss_legendre(nodes)
         z = 0.5 * (z_hi - z_lo) * u + 0.5 * (z_hi + z_lo)
@@ -145,8 +159,7 @@ class RatioLaw:
     def _den_z(self, gamma, y):
         """Tracy-Widom argument (c_den - y / gamma) / s_den of P(lambda_min >= y / gamma)
         on the grid gamma x y, with gamma read at 1 or above."""
-        den = self.denominator
-        return (den.center - y / np.maximum(gamma, 1.0)[:, None]) / den.sigma(self.design.N)
+        return (self.den_center - y / np.maximum(gamma, 1.0)[:, None]) / self.den_sigma
 
     def cdf(self, gamma):
         """F_T(gamma); zero for gamma <= 1 (eigenvalue ordering)."""
@@ -159,12 +172,12 @@ class RatioLaw:
         """Ratio density int f_num(y) f_TW((c_den - y/t)/s_den) y / (t^2 s_den) dy, for t > 1."""
         t_arr = np.atleast_1d(np.asarray(t, float))
         out = default_table().pdf(self._den_z(t_arr, self._y)) @ (self._y * self._wy)
-        out /= np.maximum(t_arr, 1.0) ** 2 * self.denominator.sigma(self.design.N)
+        out /= np.maximum(t_arr, 1.0) ** 2 * self.den_sigma
         out[t_arr <= 1.0] = 0.0
         return out if np.ndim(t) else float(out[0])
 
     def center_ratio(self) -> float:
-        return self.numerator.center / self.denominator.center
+        return self.num_center / self.den_center
 
     def _self_check(self) -> None:
         """Node-doubling consistency of the quadrature at a reference point."""
@@ -178,15 +191,17 @@ class RatioLaw:
             )
 
 
+# one cache per hypothesis, so a sweep's many signal laws never evict the noise-only ones
+_h0_law = lru_cache(maxsize=128)(RatioLaw)
+_h1_law = lru_cache(maxsize=128)(RatioLaw)
+
+
 def centering_constants(
     design: DetectorDesign, hypothesis: str, t1: float | None = None
 ) -> RatioLaw:
-    """Populate the ratio law of T for the requested hypothesis.
-
-    Under "H1" the top spike eigenvalue ``t1`` must exceed the
-    phase-transition point with a small safety margin (the Gaussian
-    fluctuation scale vanishes at the transition).
-    """
+    """The cached ratio law of T under "H0", or under "H1" for the top spike ``t1``,
+    which must clear the phase transition by a small relative margin (the Gaussian
+    fluctuation scale vanishes at the transition)."""
     if hypothesis == "H0":
         return _h0_law(design)
     if hypothesis == "H1":
@@ -194,42 +209,6 @@ def centering_constants(
             raise DomainError("centering_constants: t1 required under H1")
         return _h1_law(design, float(t1))
     raise DomainError(f"centering_constants: unknown hypothesis {hypothesis!r}")
-
-
-@lru_cache(maxsize=128)
-def _h0_law(design: DetectorDesign) -> RatioLaw:
-    c = design.c
-    return RatioLaw(
-        hypothesis="H0",
-        design=design,
-        numerator=EdgeLaw("tracy_widom", mu_plus(c), nu_plus(c), 2.0 / 3.0),
-        denominator=EdgeLaw("tracy_widom", mu_minus(c), nu_minus(c), 2.0 / 3.0),
-    )
-
-
-@lru_cache(maxsize=128)
-def _h1_law(design: DetectorDesign, t1: float) -> RatioLaw:
-    c = design.c
-    if not math.isfinite(t1):
-        raise DomainError(f"t1 must be finite, got {t1!r}")
-    threshold = (1.0 + math.sqrt(c)) * (1.0 + _CRITICAL_MARGIN)
-    if t1 < threshold:
-        raise NotIdentifiableError(
-            f"t1={t1:.6g} does not clear the phase transition 1+sqrt(c)={1 + math.sqrt(c):.6g}; "
-            "the ratio statistic then follows the noise-only law (use hypothesis='H0')"
-        )
-    try:
-        numerator = EdgeLaw("gaussian", mu_spike(t1, c), nu_spike(t1, c), 0.5)
-    except OverflowError:
-        raise DomainError(f"t1={t1:.6g} is too large: (t1-1)^2 overflows") from None
-    cp = design.c_prime
-    return RatioLaw(
-        hypothesis="H1",
-        design=design,
-        numerator=numerator,
-        denominator=EdgeLaw("tracy_widom", mu_minus(cp), nu_minus(cp), 2.0 / 3.0),
-        t1=t1,
-    )
 
 
 @lru_cache(maxsize=8)
@@ -265,12 +244,11 @@ def _invert(law: RatioLaw, levels: np.ndarray):
     at lambda_min <= 0), so F_T(gamma_sat) is the law's mass at lambda_min > 0 to 1e-8.
     The seed grid between them pairs numerator and denominator quantiles at the same z.
     """
-    num, den, n = law.numerator, law.denominator, law.design.N
-    x_sat = max(den.center - default_table().grid[-1] * den.sigma(n), 1e-6 * den.center)
+    x_sat = max(law.den_center - default_table().grid[-1] * law.den_sigma, 1e-6 * law.den_center)
     g_sat = law._y[-1] / x_sat
     g_1 = np.nextafter(1.0, 2.0)
-    x = np.maximum(den.center - _SEED_Z * den.sigma(n), x_sat)
-    grid = np.r_[g_1, np.clip((num.center + _SEED_Z * num.sigma(n)) / x, g_1, g_sat), g_sat]
+    x = np.maximum(law.den_center - _SEED_Z * law.den_sigma, x_sat)
+    grid = np.r_[g_1, np.clip((law.num_center + _SEED_Z * law.num_sigma) / x, g_1, g_sat), g_sat]
     f_grid = law.cdf(grid)
     bottom, top = float(f_grid[0]), float(f_grid[-1])
     reach = (bottom < levels) & (levels <= top)

@@ -232,6 +232,18 @@ def test_simulate_with_scenario_file(tmp_path, capsys):
     assert float(parse_kv(out)["ks"]) < 0.25
 
 
+def test_simulate_checks_the_law_before_any_trial(monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials called for a law that does not exist")
+
+    monkeypatch.setattr("eigendetect.cli.run_trials", no_trials)
+    rc, out, err = run_cli(
+        capsys, "simulate", "--k", "50", "--n", "1000", "--trials", "1000", "--t1", "1.1"
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error: t1=1.1 does not clear")
+
+
 def test_simulate_scenario_geometry_conflict(tmp_path, capsys):
     path = tmp_path / "sc.json"
     path.write_text(json.dumps({"K": 20, "N": 400, "snr": 0.25}))
@@ -286,6 +298,7 @@ def test_io_failure_exit_code(capsys):
         ("roc", "--k", "50", "--n", "1000", "--t1", "2", "--pfa-grid",
          "0.001:0.5:10000000000000log"),
         ("simulate", "--k", "20", "--n", "400", "--trials", "10000000000000"),
+        ("simulate", "--k", "5", "--n", "50", "--trials", "100", "--modulation", "bogus"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

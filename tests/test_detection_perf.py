@@ -14,7 +14,6 @@ import pytest
 from eigendetect import performance, tracy_widom
 from eigendetect.errors import DomainError, NotIdentifiableError
 from eigendetect.performance import (
-    EdgeLaw,
     RatioLaw,
     build_lut,
     centering_constants,
@@ -51,19 +50,32 @@ def test_edge_constants_closed_forms():
 
 def test_h0_law_population():
     law = centering_constants(D50, "H0")
-    assert law.hypothesis == "H0"
-    assert law.numerator.kind == "tracy_widom" and law.numerator.rate == 2.0 / 3.0
-    assert law.numerator.center == mu_plus(0.05)
-    assert law.denominator.center == mu_minus(0.05)
-    assert law.denominator.scale < 0.0
+    assert law.hypothesis == "H0" and law.t1 is None
+    assert law.num_center == mu_plus(0.05)
+    assert law.num_sigma == nu_plus(0.05) * 1000 ** (-2.0 / 3.0)
+    assert law.den_center == mu_minus(0.05)
+    assert law.den_sigma == abs(nu_minus(0.05)) * 1000 ** (-2.0 / 3.0)
 
 
 def test_h1_law_population_uses_reduced_denominator_ratio():
     law = centering_constants(D50, "H1", t1=1.5)
-    assert law.numerator.kind == "gaussian" and law.numerator.rate == 0.5
-    assert law.numerator.center == mu_spike(1.5, 0.05)
-    assert law.denominator.center == mu_minus(0.049)
-    assert law.t1 == 1.5
+    assert law.hypothesis == "H1" and law.t1 == 1.5
+    assert law.num_center == mu_spike(1.5, 0.05)
+    assert law.num_sigma == nu_spike(1.5, 0.05) * 1000 ** (-0.5)
+    assert law.den_center == mu_minus(0.049)
+    assert law.den_sigma == abs(nu_minus(0.049)) * 1000 ** (-2.0 / 3.0)
+
+
+def test_ratio_law_is_design_and_t1():
+    g = np.linspace(1.0, 4.0, 301)
+    for t1, hypothesis in ((None, "H0"), (2.0, "H1")):
+        law, cached = RatioLaw(D50, t1), centering_constants(D50, hypothesis, t1=t1)
+        assert law == cached
+        assert law.cdf(g).tobytes() == cached.cdf(g).tobytes()
+        assert law.pdf(g).tobytes() == cached.pdf(g).tobytes()
+    assert centering_constants(D50, "H1", t1=2.0) is performance._h1_law(D50, 2.0)
+    # the benchmark clears these caches and reads their hit counts by name
+    assert all(hasattr(f, "cache_info") for f in (performance._h0_law, performance._h1_law))
 
 
 def test_h1_law_refuses_subcritical_spike():
@@ -118,8 +130,7 @@ def test_component_densities_normalized_inside_quadrature():
     assert laws[0]._wy[0] < 1e-30 and laws[1]._wy[0] < 1e-15
     # at K=2 the Tracy-Widom numerator puts mass at lambda_max <= 0; the y = 0
     # node keeps it, since lambda_max <= 0 < lambda_min puts T below every gamma
-    n = laws[2].numerator
-    below = tracy_widom.tw2_cdf(-n.center / n.sigma(d29.N))
+    below = tracy_widom.tw2_cdf(-laws[2].num_center / laws[2].num_sigma)
     assert below > 1e-4 and laws[2]._wy[0] == pytest.approx(below, rel=1e-12)
 
 
@@ -395,8 +406,3 @@ def test_quadrature_node_doubling_agreement():
         a = law.cdf(g[0])
         b = (tracy_widom.tw2_cdf(law._den_z(g, y2)) @ wy2).item()
         assert abs(a - b) < 1e-8
-
-
-def test_edge_law_sigma_scaling():
-    e = EdgeLaw("tracy_widom", 1.0, -2.0, 2.0 / 3.0)
-    assert e.sigma(1000) == pytest.approx(2.0 * 1000 ** (-2.0 / 3.0), rel=1e-14)
