@@ -27,6 +27,7 @@ from .performance import (
     write_roc_csv,
 )
 from .simulate import (
+    SAMPLERS,
     dump_batch_csv,
     dump_cdf_comparison_csv,
     ks_distance,
@@ -185,14 +186,18 @@ def cmd_lut(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, design, t1 = _h1_inputs(args, allow_none=True)
+    if args.modulation is not None and (scenario is not None or t1 is None):
+        raise DomainError("--modulation applies only with --snr or --t1 "
+                          "(a --scenario file names its own modulation)")
     law = centering_constants(design, "H0" if t1 is None else "H1", t1=t1)  # before any trial
     if scenario is None and t1 is not None:
         # --snr/--t1 shortcut: draw a single-source channel from the seed
         rho = (t1 - 1.0) / design.K
         scenario = scenario_from_snr(
-            design.K, rho, modulation=args.modulation, seed=args.seed
+            design.K, rho, modulation=args.modulation or "gaussian", seed=args.seed
         )
-    batch = run_trials(design, scenario, trials=args.trials, seed=args.seed)
+    batch = run_trials(design, scenario, trials=args.trials, seed=args.seed,
+                       sampler=args.sampler)
     ks = ks_distance(batch, law.cdf)
     print("ks %.6f" % ks)
     if args.out:
@@ -278,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signal(p)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modulation", default="gaussian", choices=[m.value for m in Modulation])
+    p.add_argument("--modulation", choices=[m.value for m in Modulation],
+                   help="source modulation for --snr/--t1 (default gaussian)")
+    p.add_argument("--sampler", choices=SAMPLERS,
+                   help="trial sampler (default: wishart for Gaussian sources, else direct)")
     p.add_argument("--out", type=str, help="empirical-vs-analytical CDF CSV")
     p.add_argument("--dump", type=str, help="per-trial batch CSV")
     p.set_defaults(func=cmd_simulate)

@@ -18,6 +18,24 @@ stream may change between releases:
   trailing value is dropped when ``n`` is odd.
 * Complex normals.  Real parts first, then imaginary parts, combined as
   ``(x + i y) / sqrt(2)`` (unit total variance), reshaped C-order.
+* Gammas.  Marsaglia-Tsang (2000) for shapes ``a_j >= 1``, with
+  ``d_j = a_j - 1/3`` and ``c_j = 1 / sqrt(9 d_j)``, drawn in rounds.  For
+  ``n`` shapes a round takes ``n`` normals (the rule above, so
+  ``2 ceil(n/2)`` words), then ``n`` uniforms, for every entry whether or
+  not it has already accepted, so a round always consumes the same words.
+  Entry ``j`` with normal ``x`` and uniform ``u`` forms ``t = 1 + c_j x``,
+  ``v = t * t * t`` and accepts when ``v > 0`` and
+  ``log(u) < 0.5 * x * x + d_j - d_j * v + d_j * log(v)`` (evaluated left
+  to right); it keeps ``d_j v`` from its first accepting round.  Rounds
+  stop once every entry has accepted.
+* Wishart factors (Bartlett).  For ``K < N``: ``K(K-1)/2`` complex normals
+  placed in C order at the strictly lower positions
+  (``numpy.tril_indices(K, -1)``), then ``K`` gammas of shapes
+  ``N, N-1, ..., N-K+1`` whose square roots form the real diagonal.  The
+  lower-triangular ``L`` has ``L L^H`` complex Wishart(N, I_K), the law of
+  ``Z Z^H`` for a K x N matrix ``Z`` of unit complex normals (Dumitriu &
+  Edelman 2002).  The simulator draws it from ``trial_seed XOR
+  WISHART_TAG`` (see :mod:`eigendetect.simulate`).
 
 Derived seeds (per-trial, per-row) are produced with :func:`mix`, a
 SplitMix64-style hash of the counter, XORed into the parent seed.
@@ -25,7 +43,11 @@ SplitMix64-style hash of the counter, XORed into the parent seed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["mix", "SeededStream"]
 
@@ -91,3 +113,40 @@ class SeededStream:
         x = self.standard_normal(n)
         y = self.standard_normal(n)
         return ((x + 1j * y) * np.sqrt(0.5)).reshape(shape)
+
+    def standard_gamma(self, shape) -> np.ndarray:
+        """Gamma(a, 1) draws, one per shape a >= 1, by rounds of Marsaglia-Tsang."""
+        a = np.asarray(shape, dtype=float)
+        if not np.all(a >= 1.0):
+            raise DomainError("standard_gamma: shapes must be >= 1")
+        d = a - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
+        out = np.empty_like(d)
+        todo = np.ones(d.shape, dtype=bool)
+        while todo.any():
+            x = self.standard_normal(d.size).reshape(d.shape)
+            u = self.uniform_open(d.size).reshape(d.shape)
+            t = 1.0 + c * x
+            v = t * t * t
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
+            take = todo & ok
+            out[take] = d[take] * v[take]
+            todo &= ~ok
+        return out
+
+    def wishart_factor(self, K: int, N: int) -> np.ndarray:
+        """Lower-triangular L with L L^H complex Wishart(N, I_K) (Bartlett)."""
+        L = np.zeros((K, K), dtype=complex)
+        flat = L.reshape(-1)
+        flat[_strict_lower(K)] = self.standard_complex_normal(K * (K - 1) // 2)
+        flat[:: K + 1] = np.sqrt(self.standard_gamma(N - np.arange(K)))
+        return L
+
+
+@lru_cache(maxsize=16)
+def _strict_lower(K: int) -> np.ndarray:
+    """Flat C-order positions of ``numpy.tril_indices(K, -1)`` (read-only, shared)."""
+    positions = np.flatnonzero(np.tri(K, k=-1, dtype=bool))
+    positions.setflags(write=False)
+    return positions

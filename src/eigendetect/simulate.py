@@ -9,10 +9,22 @@ Seed discipline (all pinned, see :mod:`eigendetect.rng` for the word
 stream itself):
 
 * trial ``i`` of a batch uses ``trial_seed(seed, i) = seed XOR mix(i)``;
-* within a trial, the noise matrix uses ``trial_seed XOR NOISE_TAG``,
-  the signal matrix ``trial_seed XOR SIGNAL_TAG``, a redrawn channel
-  ``trial_seed XOR CHANNEL_TAG``;
-* row ``p`` of a signal matrix uses ``seed XOR mix(p)``.
+  a trial whose eigensolve fails is redrawn once from
+  ``trial_seed XOR _RETRY_TAG``;
+* the ``"direct"`` sampler draws the noise matrix from
+  ``trial_seed XOR NOISE_TAG`` and the signal matrix from
+  ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
+  ``seed XOR mix(p)``;
+* the ``"wishart"`` sampler draws one Bartlett factor ``L`` (K(K+1)/2
+  draws instead of K N) from ``trial_seed XOR WISHART_TAG``;
+* either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
+
+With Gaussian sources (or none) the columns of Y are i.i.d. CN(0, R),
+R = H Sigma H^H + sigma_v2 I, so Y Y^H has the law of C L L^H C^H with
+C C^H = R: the ``"wishart"`` sampler takes the eigenvalues of
+(C L)(C L)^H / N and never forms Y.  It is the default for such batches.
+Non-Gaussian sources need ``"direct"``, and it alone reproduces a seeded
+result recorded before the Wishart sampler existed.
 
 The channel is held fixed across the trials of a batch (one coherent
 sensing epoch); ``redraw_channel=True`` redraws it per trial with the
@@ -34,6 +46,8 @@ __all__ = [
     "NOISE_TAG",
     "SIGNAL_TAG",
     "CHANNEL_TAG",
+    "WISHART_TAG",
+    "SAMPLERS",
     "trial_seed",
     "gen_noise",
     "gen_signal",
@@ -51,7 +65,10 @@ __all__ = [
 NOISE_TAG = 0xB5EA2C49E1D7A3F1
 SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
+WISHART_TAG = 0x6A09E667F3BCC908
 _RETRY_TAG = 0x243F6A8885A308D3
+
+SAMPLERS = ("direct", "wishart")
 
 _SRRC_ROLLOFF = 0.5
 _SRRC_SPS = 8      # samples per symbol
@@ -205,6 +222,8 @@ class TrialBatch:
     lambda_max: np.ndarray
     lambda_min: np.ndarray
     t_stat: np.ndarray
+    sampler: str
+    retries: int
 
     def __post_init__(self):
         for name in ("lambda_max", "lambda_min", "t_stat"):
@@ -228,11 +247,14 @@ def run_trials(
     seed: int = 0,
     sigma_v2: float = 1.0,
     redraw_channel: bool = False,
+    sampler: str | None = None,
 ) -> TrialBatch:
     """Run seeded MC trials of the ratio detector; bit-reproducible per seed.
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
-    scenario supplied, its own noise variance is used.
+    scenario supplied, its own noise variance is used.  ``sampler`` is
+    ``"direct"`` or ``"wishart"`` (Gaussian sources or none only); ``None``
+    picks ``"wishart"`` whenever it applies.
     """
     if trials < 1:
         raise DomainError("run_trials: trials must be >= 1")
@@ -242,7 +264,15 @@ def run_trials(
         if scenario.P != design.P:
             raise DomainError("run_trials: design and scenario disagree on P")
         sigma_v2 = scenario.sigma_v2
-        base_norms = np.sqrt(np.sum(np.abs(scenario.H) ** 2, axis=0))
+    gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
+    if sampler is None:
+        sampler = "wishart" if gaussian else "direct"
+    if sampler not in SAMPLERS:
+        raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+    if sampler == "wishart" and not gaussian:
+        raise DomainError("run_trials: the wishart sampler needs Gaussian sources, not "
+                          f"{scenario.modulation.value}; use the direct sampler")
+    draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
     np.empty(1 << 22, np.uint8)
@@ -251,11 +281,9 @@ def run_trials(
     failed = []
     for i in range(trials):
         ts = trial_seed(seed, i)
-        lo_hi = _one_trial(design, scenario, ts, sigma_v2, redraw_channel,
-                           base_norms if scenario is not None else None)
+        lo_hi = _attempt(draw, ts)
         if lo_hi is None:
-            lo_hi = _one_trial(design, scenario, ts ^ _RETRY_TAG, sigma_v2,
-                               redraw_channel, base_norms if scenario is not None else None)
+            lo_hi = _attempt(draw, ts ^ _RETRY_TAG)
             failed.append(i)
             if lo_hi is None or len(failed) > max(1, trials // 1000):
                 raise NumericError(
@@ -272,28 +300,58 @@ def run_trials(
         lambda_max=lam_max,
         lambda_min=lam_min,
         t_stat=lam_max / lam_min,
+        sampler=sampler,
+        retries=len(failed),
     )
 
 
-def _one_trial(design, scenario, ts, sigma_v2, redraw_channel, base_norms):
-    K, N = design.K, design.N
-    V = gen_noise(K, N, sigma_v2, ts ^ NOISE_TAG)
-    if scenario is None:
-        Y = V
-    else:
-        S = gen_signal(scenario.P, N, scenario.modulation, scenario.sigma2, ts ^ SIGNAL_TAG)
-        H = scenario.H
-        if redraw_channel:
-            g = SeededStream(ts ^ CHANNEL_TAG).standard_complex_normal((K, scenario.P))
-            norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
-            H = g * (base_norms / norms)[None, :]
-        Y = H @ S + V
-    R = (Y @ Y.conj().T) / N
+def _attempt(draw, ts):
     try:
-        w = np.linalg.eigvalsh(R)
+        return draw(ts)
     except np.linalg.LinAlgError:
         return None
-    return float(w[0]), float(w[-1])
+
+
+def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
+    """``draw(trial_seed) -> (lambda_min, lambda_max)`` of one trial's sample covariance."""
+    K, N = design.K, design.N
+    if scenario is not None:
+        H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
+        base_norms = np.sqrt(np.sum(np.abs(H) ** 2, axis=0))
+
+    def channel(ts):
+        if not redraw_channel:
+            return H
+        g = SeededStream(ts ^ CHANNEL_TAG).standard_complex_normal((K, P))
+        norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
+        return g * (base_norms / norms)[None, :]
+
+    if sampler == "direct":
+        def draw(ts):
+            Y = gen_noise(K, N, sigma_v2, ts ^ NOISE_TAG)
+            if scenario is not None:
+                Y = channel(ts) @ gen_signal(P, N, scenario.modulation, sigma2,
+                                             ts ^ SIGNAL_TAG) + Y
+            w = np.linalg.eigvalsh((Y @ Y.conj().T) / N)
+            return float(w[0]), float(w[-1])
+
+        return draw
+
+    def whitener(H):
+        """C with C C^H = R / sigma_v2 = I + H Sigma H^H / sigma_v2."""
+        return np.linalg.cholesky(np.eye(K) + (H * (sigma2 / sigma_v2)) @ H.conj().T)
+
+    fixed = None if scenario is None or redraw_channel else whitener(H)
+    scale = sigma_v2 / N
+
+    def draw(ts):
+        M = SeededStream(ts ^ WISHART_TAG).wishart_factor(K, N)
+        if scenario is not None:
+            M = (whitener(channel(ts)) if redraw_channel else fixed) @ M
+        w = np.linalg.eigvalsh(M @ M.conj().T)
+        return float(w[0]) * scale, float(w[-1]) * scale
+
+    return draw
 
 
 class EmpiricalCdf:
@@ -339,8 +397,9 @@ def dump_batch_csv(path, batch: TrialBatch) -> None:
         mod, rho = batch.scenario.modulation.value, _snr(batch.scenario)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
-            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g\n"
-            % (batch.design.K, batch.design.N, batch.seed, batch.trials, mod, rho)
+            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g sampler=%s retries=%d\n"
+            % (batch.design.K, batch.design.N, batch.seed, batch.trials, mod, rho,
+               batch.sampler, batch.retries)
         )
         fh.write("trial,lambda_max,lambda_min,t\n")
         for i in range(batch.trials):

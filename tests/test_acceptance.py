@@ -74,35 +74,36 @@ def law_cdf(design, hypothesis, t1=None):
 @pytest.fixture(scope="module")
 def h0_batches():
     return {
-        K: run_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED)
+        K: run_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED, sampler="direct")
         for K in (20, 50, 100)
     }
 
 
 @pytest.fixture(scope="module")
 def h0_50_10k():
-    return run_trials(DetectorDesign(50, 1000, 1), None, trials=10000, seed=SEED)
+    return run_trials(DetectorDesign(50, 1000, 1), None, trials=10000, seed=SEED,
+                      sampler="direct")
 
 
 @pytest.fixture(scope="module")
 def h1_batch_10db():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.1, seed=SEED + 2)
-    return run_trials(d, sc, trials=5000, seed=SEED)
+    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct")
 
 
 @pytest.fixture(scope="module")
 def h1_batch_20db():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.01, seed=SEED + 2)
-    return run_trials(d, sc, trials=5000, seed=SEED)
+    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct")
 
 
 @pytest.fixture(scope="module")
 def h1_batch_20db_10k():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.01, seed=SEED + 2)
-    return run_trials(d, sc, trials=10000, seed=SEED + 1)
+    return run_trials(d, sc, trials=10000, seed=SEED + 1, sampler="direct")
 
 
 # --- criterion 1: Tracy-Widom engine vs GUE Monte Carlo ----------------------
@@ -196,7 +197,7 @@ def p2_batch():
     d = DetectorDesign(50, 1000, 2)
     sc = scenario_from_component_snrs(50, (0.06, 0.04), seed=SEED + 3)
     t1 = spike_spectrum(sc, d).t1
-    return run_trials(d, sc, trials=5000, seed=SEED), t1
+    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct"), t1
 
 
 @pytest.mark.xfail(
@@ -235,11 +236,11 @@ def test_c06_convergence():
         for N, K in sizes:
             d = DetectorDesign(K, N, 1)
             if hyp == "H0":
-                b = run_trials(d, None, trials=2000, seed=SEED)
+                b = run_trials(d, None, trials=2000, seed=SEED, sampler="direct")
                 kss.append(ks_distance(b, law_cdf(d, "H0")))
             else:
                 sc = scenario_from_snr(K, 1.0 / K, seed=SEED + 2)  # t1 = 2
-                b = run_trials(d, sc, trials=2000, seed=SEED)
+                b = run_trials(d, sc, trials=2000, seed=SEED, sampler="direct")
                 kss.append(ks_distance(b, law_cdf(d, "H1", t1=2.0)))
         seqs[hyp] = kss
     ok = all(
@@ -278,7 +279,7 @@ def transition_batches():
     out = {}
     for t1 in (1.2, 2.0):
         sc = scenario_from_snr(50, (t1 - 1.0) / 50.0, seed=SEED + 1)
-        out[t1] = run_trials(d, sc, trials=2000, seed=SEED)
+        out[t1] = run_trials(d, sc, trials=2000, seed=SEED, sampler="direct")
     return out
 
 
@@ -341,8 +342,8 @@ def test_c09_threshold_inversion():
 
 def test_c10_noise_blindness():
     d = DetectorDesign(50, 1000, 1)
-    b1 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=1.0)
-    b10 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=10.0)
+    b1 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=1.0, sampler="direct")
+    b10 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=10.0, sampler="direct")
     t_gap = float(np.max(np.abs(b10.t_stat - b1.t_stat) / b1.t_stat))
     g1 = threshold_from_pfa(0.01, d)
     g2 = threshold_from_pfa(0.01, DetectorDesign(50, 1000, 1))
@@ -389,10 +390,10 @@ def test_c12_non_gaussian():
     kss = {}
     for mod in ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex"):
         sc = scenario_from_snr(50, 0.01, modulation=mod, seed=SEED + 2)
-        kss[mod] = ks_distance(run_trials(d, sc, trials=5000, seed=SEED), cdf)
+        kss[mod] = ks_distance(run_trials(d, sc, trials=5000, seed=SEED, sampler="direct"), cdf)
 
     sc10 = scenario_from_snr(50, 0.1, modulation="qpsk", seed=SEED + 2)
-    b10 = run_trials(d, sc10, trials=5000, seed=SEED)
+    b10 = run_trials(d, sc10, trials=5000, seed=SEED, sampler="direct")
     g10 = threshold_from_pmd(0.10, d, 6.0)
     emp10 = float(np.mean(b10.t_stat < g10))
 
@@ -469,7 +470,8 @@ def test_h1_top_eigenvalue_mean_location(transition_batches):
 def test_cli_simulate_full_size(capsys):
     from eigendetect.cli import main
 
-    rc = main(["simulate", "--k", "50", "--n", "1000", "--trials", "5000", "--seed", "7"])
+    rc = main(["simulate", "--k", "50", "--n", "1000", "--trials", "5000", "--seed", "7",
+               "--sampler", "direct"])
     out = capsys.readouterr().out
     ks = float(out.split()[1])
     check("cli", rc == 0 and ks <= 0.03, "simulate --seed 7 printed KS = %.4f" % ks)

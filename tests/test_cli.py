@@ -218,7 +218,17 @@ def test_simulate_h0_outputs_and_determinism(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == first
     assert (tmp_path / "d.csv").read_bytes() == dump_first
     header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header.startswith("# K=20 N=400 seed=7")
+    assert header == ("# K=20 N=400 seed=7 trials=300 modulation=none snr=0 "
+                      "sampler=wishart retries=0")
+
+
+def test_simulate_direct_sampler_reproduces_older_seeds(tmp_path, capsys):
+    # the KS this command printed before the Wishart sampler became the default
+    rc, out, _ = run_cli(capsys, "simulate", "--k", "20", "--n", "400", "--trials", "300",
+                         "--seed", "7", "--sampler", "direct", "--dump", str(tmp_path / "d.csv"))
+    assert rc == 0 and out.splitlines()[0] == "ks 0.074417"
+    header = (tmp_path / "d.csv").read_text().splitlines()[0]
+    assert header.endswith(" sampler=direct retries=0")
 
 
 def test_simulate_with_scenario_file(tmp_path, capsys):
@@ -230,6 +240,40 @@ def test_simulate_with_scenario_file(tmp_path, capsys):
     )
     assert rc == 0
     assert float(parse_kv(out)["ks"]) < 0.25
+
+
+def _qpsk_scenario(tmp_path):
+    doc = {"K": 8, "N": 60, "snr": 0.5, "sigma_v2": 1.0, "modulation": "qpsk"}
+    path = tmp_path / "qpsk.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("modulation", ["gaussian", "uniform_complex"])
+def test_simulate_modulation_conflicts_with_scenario(tmp_path, capsys, modulation):
+    rc, out, err = run_cli(capsys, "simulate", "--scenario", _qpsk_scenario(tmp_path),
+                           "--trials", "200", "--modulation", modulation)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --modulation applies only with --snr or --t1")
+    assert "--scenario" in err
+
+
+def test_simulate_modulation_needs_a_signal(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--k", "8", "--n", "60", "--trials", "200",
+                           "--modulation", "qpsk")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: --modulation applies only with --snr or --t1")
+
+
+def test_simulate_wishart_sampler_needs_gaussian_sources(tmp_path, capsys):
+    scenario = _qpsk_scenario(tmp_path)
+    rc, out, err = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200",
+                           "--sampler", "wishart")
+    assert rc == 2 and out == ""
+    assert "needs Gaussian sources" in err
+    rc, out, _ = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200")
+    assert rc == 0 and out == run_cli(capsys, "simulate", "--scenario", scenario, "--trials",
+                                      "200", "--sampler", "direct")[1]
 
 
 def test_simulate_checks_the_law_before_any_trial(monkeypatch, capsys):

@@ -1,17 +1,25 @@
 """Tests for the Monte Carlo harness: generators, batches, empirical CDFs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from eigendetect import simulate
 from eigendetect.errors import DomainError, NumericError
 from eigendetect.rng import SeededStream
 from eigendetect.simulate import (
     EmpiricalCdf,
     NOISE_TAG,
+    SAMPLERS,
+    WISHART_TAG,
     _RETRY_TAG,
-    _one_trial,
+    _trial_draw,
     dump_batch_csv,
     dump_cdf_comparison_csv,
     gen_channel,
@@ -182,7 +190,7 @@ def test_batch_noise_scale_cancels_in_ratio():
 def test_batch_trace_identity():
     # reconstruct trials from the documented seed chain and compare traces
     d = DetectorDesign(8, 64, 1)
-    b = run_trials(d, None, trials=10, seed=21, sigma_v2=1.5)
+    b = run_trials(d, None, trials=10, seed=21, sigma_v2=1.5, sampler="direct")
     for i in range(10):
         ts = trial_seed(21, i)
         Y = gen_noise(8, 64, 1.5, ts ^ NOISE_TAG)
@@ -235,20 +243,23 @@ def _flaky_eigvalsh(monkeypatch, failing_calls):
 
 def test_batch_retries_a_failed_eigensolve(monkeypatch):
     d = DetectorDesign(8, 64, 1)
-    clean = run_trials(d, None, trials=10, seed=21)
-    batches = []
-    for _ in range(2):
-        _flaky_eigvalsh(monkeypatch, {4})  # the first attempt of trial 3
-        batches.append(run_trials(d, None, trials=10, seed=21))
-        monkeypatch.undo()
-    a, b = batches
-    assert np.array_equal(a.t_stat, b.t_stat)
-    # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
-    lo, hi = _one_trial(d, None, trial_seed(21, 3) ^ _RETRY_TAG, 1.0, False, None)
-    assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
-    assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
-    others = np.arange(10) != 3
-    assert np.array_equal(a.t_stat[others], clean.t_stat[others])
+    for sampler in SAMPLERS:
+        clean = run_trials(d, None, trials=10, seed=21, sampler=sampler)
+        batches = []
+        for _ in range(2):
+            _flaky_eigvalsh(monkeypatch, {4})  # the first attempt of trial 3
+            batches.append(run_trials(d, None, trials=10, seed=21, sampler=sampler))
+            monkeypatch.undo()
+        a, b = batches
+        assert np.array_equal(a.t_stat, b.t_stat)
+        assert (clean.retries, a.retries, a.sampler) == (0, 1, sampler)
+        # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
+        draw = _trial_draw(d, None, 1.0, False, sampler)
+        lo, hi = draw(trial_seed(21, 3) ^ _RETRY_TAG)
+        assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
+        assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
+        others = np.arange(10) != 3
+        assert np.array_equal(a.t_stat[others], clean.t_stat[others])
 
 
 @pytest.mark.parametrize(
@@ -256,9 +267,197 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
     [{1, 3}, {1, 2}],  # two failed trials (more than max(1, 10 // 1000)); a failed retry
 )
 def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
-    _flaky_eigvalsh(monkeypatch, failing_calls)
-    with pytest.raises(NumericError, match="eigensolver failed"):
-        run_trials(DetectorDesign(8, 64, 1), None, trials=10, seed=21)
+    for sampler in SAMPLERS:
+        _flaky_eigvalsh(monkeypatch, failing_calls)
+        with pytest.raises(NumericError, match="eigensolver failed"):
+            run_trials(DetectorDesign(8, 64, 1), None, trials=10, seed=21, sampler=sampler)
+        monkeypatch.undo()
+
+
+# --- samplers ----------------------------------------------------------------------
+#
+# The two samplers must give the same law.  The constants below are fixed, not
+# tuned to the outcome: the geometry (K=10, N=100), 2000 trials per batch, direct
+# batches on seed 101, Wishart batches on seed 202 (distinct, so a redrawn channel
+# is independent across the two), scenario channels on seed 7, and a two-sample KS
+# test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.
+
+EQ_DESIGN_KN = (10, 100)
+EQ_TRIALS = 2000
+EQ_SEEDS = {"direct": 101, "wishart": 202}
+EQ_ALPHA = 1e-3
+EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw")
+
+
+def _eq_case(case):
+    K, N = EQ_DESIGN_KN
+    if case == "h0":
+        return DetectorDesign(K, N, 1), None, False
+    if case == "p1_fixed":
+        return DetectorDesign(K, N, 1), scenario_from_snr(K, 0.5, sigma_v2=2.0, seed=7), False
+    sc = scenario_from_component_snrs(K, (0.3, 0.2), seed=7)
+    return DetectorDesign(K, N, 2), sc, case == "p2_redraw"
+
+
+_DIRECT_BATCHES = {}
+
+
+def _eq_pvalues(case):
+    """Two-sample KS p-values of a fresh Wishart batch against the (cached) direct one."""
+    d, sc, redraw = _eq_case(case)
+    if case not in _DIRECT_BATCHES:
+        _DIRECT_BATCHES[case] = run_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["direct"],
+                                           redraw_channel=redraw, sampler="direct")
+    a = _DIRECT_BATCHES[case]
+    b = run_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["wishart"], redraw_channel=redraw,
+                   sampler="wishart")
+    return {name: ks_2samp(getattr(a, name), getattr(b, name)).pvalue
+            for name in ("t_stat", "lambda_max", "lambda_min")}
+
+
+@pytest.mark.parametrize("case", EQ_CASES)
+def test_samplers_draw_the_same_law(case):
+    p = _eq_pvalues(case)
+    assert min(p.values()) >= EQ_ALPHA, p
+
+
+def _wrong_diagonal(self, K, N):
+    # Gamma shapes two below Bartlett's N - i
+    L = np.zeros((K, K), dtype=complex)
+    L[np.tril_indices(K, -1)] = self.standard_complex_normal(K * (K - 1) // 2)
+    L[np.diag_indices(K)] = np.sqrt(self.standard_gamma(N - np.arange(K) - 2))
+    return L
+
+
+def _real_off_diagonal(self, K, N):
+    # unit-variance real entries below the diagonal instead of complex ones
+    L = np.zeros((K, K), dtype=complex)
+    L[np.tril_indices(K, -1)] = self.standard_normal(K * (K - 1) // 2)
+    L[np.diag_indices(K)] = np.sqrt(self.standard_gamma(N - np.arange(K)))
+    return L
+
+
+@pytest.mark.parametrize("case", EQ_CASES)
+@pytest.mark.parametrize("wrong", [_wrong_diagonal, _real_off_diagonal])
+def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, case, wrong):
+    monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
+    p = _eq_pvalues(case)
+    assert min(p.values()) < EQ_ALPHA, p
+
+
+def test_sampler_choice_follows_the_modulation():
+    d = DetectorDesign(6, 40, 1)
+    gauss = scenario_from_snr(6, 0.5, seed=1)
+    qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
+    assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
+    assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
+    assert run_trials(d, qpsk, trials=3, seed=1).sampler == "direct"
+    with pytest.raises(DomainError, match="Gaussian sources"):
+        run_trials(d, qpsk, trials=3, seed=1, sampler="wishart")
+    with pytest.raises(DomainError, match="unknown sampler"):
+        run_trials(d, None, trials=3, seed=1, sampler="bartlett")
+
+
+# scalar reference of the rng.py contract; the elementary functions are numpy's
+_MASK = (1 << 64) - 1
+
+
+class _RefStream:
+    def __init__(self, seed):
+        self.seed, self.index = seed & _MASK, 0
+
+    def uniforms(self, n):
+        out = []
+        for _ in range(n):
+            self.index += 1
+            z = (self.seed + self.index * 0x9E3779B97F4A7C15) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            out.append(np.float64(((z >> 11) + 1) * 2.0 ** -53))
+        return out
+
+    def normals(self, n):
+        m = (n + 1) // 2
+        radius, angle = self.uniforms(m), self.uniforms(m)
+        out = []
+        for u, a in zip(radius, angle):
+            r, theta = np.sqrt(-2.0 * np.log(u)), (2.0 * np.pi) * a
+            out += [r * np.cos(theta), r * np.sin(theta)]
+        return out[:n]
+
+    def gammas(self, shapes):
+        d = [np.float64(a) - 1.0 / 3.0 for a in shapes]
+        c = [1.0 / np.sqrt(9.0 * dj) for dj in d]
+        out = [None] * len(shapes)
+        while None in out:
+            x, u = self.normals(len(shapes)), self.uniforms(len(shapes))
+            for j in range(len(shapes)):
+                t = 1.0 + c[j] * x[j]
+                v = t * t * t
+                if out[j] is None and v > 0.0 and (
+                    np.log(u[j]) < 0.5 * x[j] * x[j] + d[j] - d[j] * v + d[j] * np.log(v)
+                ):
+                    out[j] = d[j] * v
+        return out
+
+    def wishart_factor(self, K, N):
+        m = K * (K - 1) // 2
+        x, y = self.normals(m), self.normals(m)
+        s = np.sqrt(0.5)
+        L = np.zeros((K, K), dtype=complex)
+        cells = [(i, j) for i in range(K) for j in range(i)]
+        for (i, j), re, im in zip(cells, x, y):
+            L[i, j] = complex(re * s, im * s)
+        for i, g in enumerate(self.gammas([N - i for i in range(K)])):
+            L[i, i] = np.sqrt(g)
+        return L
+
+
+def test_wishart_trials_rebuild_from_the_contract():
+    K, N, sigma_v2 = 9, 40, 1.5
+    d = DetectorDesign(K, N, 1)
+    h0 = run_trials(d, None, trials=4, seed=33, sigma_v2=sigma_v2, sampler="wishart")
+    sc = scenario_from_snr(K, 0.4, sigma_v2=sigma_v2, seed=5)
+    h1 = run_trials(d, sc, trials=4, seed=33, sampler="wishart")
+    R = sc.H @ (sc.sigma2[:, None] * sc.H.conj().T) + sigma_v2 * np.eye(K)
+    C = np.linalg.cholesky(R)
+    for i in range(4):
+        ts = trial_seed(33, i) ^ WISHART_TAG
+        L = _RefStream(ts).wishart_factor(K, N)
+        assert np.array_equal(L, SeededStream(ts).wishart_factor(K, N))
+        w = np.linalg.eigvalsh(L @ L.conj().T)
+        assert (h0.lambda_min[i], h0.lambda_max[i]) == (
+            float(w[0]) * (sigma_v2 / N), float(w[-1]) * (sigma_v2 / N))
+        w = np.linalg.eigvalsh((C @ L) @ (C @ L).conj().T / N)
+        assert h1.lambda_min[i] == pytest.approx(w[0], rel=1e-12)
+        assert h1.lambda_max[i] == pytest.approx(w[-1], rel=1e-12)
+
+
+def test_gamma_rounds_consume_whole_rounds():
+    # 50 shapes: each round is 50 normals (50 words) then 50 uniforms
+    s = SeededStream(8)
+    s.standard_gamma(np.arange(2.0, 52.0))
+    assert s._cursor % 100 == 0 and s._cursor >= 100
+    with pytest.raises(DomainError):
+        SeededStream(8).standard_gamma([0.5])
+
+
+def test_simulator_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "from eigendetect import DetectorDesign, run_trials, scenario_from_snr\n"
+        "d = DetectorDesign(8, 60)\n"
+        "run_trials(d, None, trials=20)\n"
+        "run_trials(d, scenario_from_snr(8, 0.5, seed=1), trials=20)\n"
+        "run_trials(d, scenario_from_snr(8, 0.5, modulation='qpsk', seed=1), trials=20)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- eigensolver dual route ---------------------------------------------------
@@ -346,6 +545,7 @@ def test_dump_batch_csv(tmp_path):
     dump_batch_csv(path, b)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2")
+    assert lines[0].endswith(" sampler=direct retries=0")
     assert lines[1] == "trial,lambda_max,lambda_min,t"
     assert len(lines) == 22
     row = lines[2].split(",")
