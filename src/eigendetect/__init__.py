@@ -24,9 +24,7 @@ from .performance import (
     threshold_from_pmd,
 )
 from .simulate import (
-    EmpiricalCdf,
     TrialBatch,
-    gen_channel,
     gen_noise,
     gen_signal,
     ks_distance,

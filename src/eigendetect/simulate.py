@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .rng import SeededStream, mix
-from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation
+from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation, snr
 
 __all__ = [
     "NOISE_TAG",
@@ -51,12 +51,10 @@ __all__ = [
     "trial_seed",
     "gen_noise",
     "gen_signal",
-    "gen_channel",
     "scenario_from_snr",
     "scenario_from_component_snrs",
     "run_trials",
     "TrialBatch",
-    "EmpiricalCdf",
     "ks_distance",
     "dump_batch_csv",
     "dump_cdf_comparison_csv",
@@ -159,33 +157,15 @@ def gen_signal(P: int, N: int, modulation, sigma2, seed: int) -> np.ndarray:
     return out
 
 
-def gen_channel(K: int, P: int, target_snr: float, sigma_v2: float, seed: int) -> np.ndarray:
-    """Rayleigh channel draw rescaled so that unit-power sources hit target_snr.
-
-    Entries are i.i.d. complex Gaussian; a single joint scale then fixes
-    sum_p ||h_p||^2 = target_snr * K * sigma_v2 (one power per source
-    assumed, so the resulting scenario's SNR equals target_snr exactly).
-    """
-    if not 0.0 < target_snr < math.inf:
-        raise DomainError("gen_channel: target_snr must be positive and finite")
-    if not 0.0 < sigma_v2 < math.inf:
-        raise DomainError("gen_channel: sigma_v2 must be positive and finite")
-    g = SeededStream(seed).standard_complex_normal((K, P))
-    fro2 = float(np.sum(np.abs(g) ** 2))
-    return g * math.sqrt(target_snr * K * sigma_v2 / fro2)
-
-
 def scenario_from_snr(
     K: int,
     target_snr: float,
     sigma_v2: float = 1.0,
     modulation=Modulation.GAUSSIAN,
     seed: int = 0,
-    P: int = 1,
 ) -> Scenario:
-    """Random-channel scenario with unit source powers and exact total SNR."""
-    H = gen_channel(K, P, target_snr, sigma_v2, seed)
-    return Scenario(H, np.ones(P), sigma_v2, modulation)
+    """Random-channel single-source scenario with unit source power and exact SNR."""
+    return scenario_from_component_snrs(K, [target_snr], sigma_v2, modulation, seed)
 
 
 def scenario_from_component_snrs(
@@ -197,12 +177,14 @@ def scenario_from_component_snrs(
 ) -> Scenario:
     """Random-channel scenario with each per-source SNR pinned exactly.
 
-    Column p is rescaled so sigma_p^2 ||h_p||^2 / (K sigma_v2) equals
+    Entries of the K x P channel are i.i.d. complex Gaussian; column p is
+    then rescaled so sigma_p^2 ||h_p||^2 / (K sigma_v2) equals
     component_snrs[p] (unit source powers).
     """
     snrs = np.asarray(component_snrs, dtype=float).reshape(-1)
-    if np.any(snrs <= 0.0):
-        raise DomainError("scenario_from_component_snrs: SNRs must be > 0")
+    if not (np.all((snrs > 0.0) & (snrs < math.inf)) and 0.0 < sigma_v2 < math.inf):
+        raise DomainError("scenario_from_component_snrs: SNRs and sigma_v2 must be "
+                          "positive and finite")
     P = snrs.shape[0]
     g = SeededStream(seed).standard_complex_normal((K, P))
     norms2 = np.sum(np.abs(g) ** 2, axis=0)
@@ -228,16 +210,12 @@ class TrialBatch:
     def __post_init__(self):
         for name in ("lambda_max", "lambda_min", "t_stat"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.trials,):
-                raise DomainError(f"TrialBatch: {name} must have one entry per trial")
+            if arr.shape != (self.trials,) or not np.all(np.isfinite(arr)):
+                raise DomainError(f"TrialBatch: {name} must have one finite entry per trial")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.lambda_min <= 0.0) or np.any(self.lambda_max < self.lambda_min):
+        if not (np.all(self.lambda_min > 0.0) and np.all(self.lambda_max >= self.lambda_min)):
             raise DomainError("TrialBatch: requires lambda_max >= lambda_min > 0")
-
-    @property
-    def hypothesis(self) -> str:
-        return "H0" if self.scenario is None else "H1"
 
 
 def run_trials(
@@ -354,20 +332,6 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     return draw
 
 
-class EmpiricalCdf:
-    """Right-continuous step CDF of a sample."""
-
-    def __init__(self, values):
-        self.values = np.sort(np.asarray(values, dtype=float))
-        if self.values.size == 0:
-            raise DomainError("EmpiricalCdf: empty sample")
-
-    def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.values, x_arr, side="right") / self.values.size
-        return out if x_arr.ndim else float(out)
-
-
 def ks_distance(batch, cdf) -> float:
     """Kolmogorov-Smirnov statistic sup_x |empirical CDF - analytical CDF|.
 
@@ -378,8 +342,8 @@ def ks_distance(batch, cdf) -> float:
     """
     values = batch.t_stat if isinstance(batch, TrialBatch) else np.asarray(batch, float)
     n = values.size
-    if n < 100:
-        raise DomainError("ks_distance: at least 100 samples required")
+    if values.ndim != 1 or n < 100 or not np.all(np.isfinite(values)):
+        raise DomainError("ks_distance: needs a 1-D sample of at least 100 finite values")
     xs = np.sort(values)
     steps = np.arange(n + 1) / n
     d_plus = np.max(steps[1:] - np.asarray(cdf(xs), dtype=float))
@@ -392,9 +356,7 @@ def dump_batch_csv(path, batch: TrialBatch) -> None:
     if batch.scenario is None:
         mod, rho = "none", 0.0
     else:
-        from .spiked import snr as _snr
-
-        mod, rho = batch.scenario.modulation.value, _snr(batch.scenario)
+        mod, rho = batch.scenario.modulation.value, snr(batch.scenario)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
             "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g sampler=%s retries=%d\n"

@@ -110,8 +110,8 @@ class Scenario:
             raise DomainError("Scenario: H must be a K x P matrix")
         sigma2 = np.array(self.sigma2, dtype=float).reshape(-1)
         K, P = H.shape
-        if P >= K:
-            raise DomainError("Scenario: P < K required")
+        if not 1 <= P < K:
+            raise DomainError("Scenario: 1 <= P < K required")
         if sigma2.shape[0] != P:
             raise DomainError("Scenario: sigma2 must hold one power per source")
         if not np.all(np.isfinite(H)):

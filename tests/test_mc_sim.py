@@ -1,5 +1,6 @@
-"""Tests for the Monte Carlo harness: generators, batches, empirical CDFs."""
+"""Tests for the Monte Carlo harness: generators, batches, KS distances."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -14,15 +15,14 @@ from eigendetect import simulate
 from eigendetect.errors import DomainError, NumericError
 from eigendetect.rng import SeededStream
 from eigendetect.simulate import (
-    EmpiricalCdf,
     NOISE_TAG,
     SAMPLERS,
+    TrialBatch,
     WISHART_TAG,
     _RETRY_TAG,
     _trial_draw,
     dump_batch_csv,
     dump_cdf_comparison_csv,
-    gen_channel,
     gen_noise,
     gen_signal,
     ks_distance,
@@ -148,15 +148,25 @@ def test_unknown_modulation_rejected():
 # --- channel -----------------------------------------------------------------
 
 def test_channel_hits_target_snr_exactly():
-    H = gen_channel(50, 1, 0.01, 1.0, 5)
-    sc = Scenario(H, [1.0], 1.0)
+    sc = scenario_from_snr(50, 0.01, seed=5)
+    assert sc.P == 1 and np.array_equal(sc.sigma2, [1.0])
     assert snr(sc) == pytest.approx(0.01, rel=1e-12)
-    assert np.array_equal(H, gen_channel(50, 1, 0.01, 1.0, 5))
+    assert np.array_equal(sc.H, scenario_from_snr(50, 0.01, seed=5).H)
     d = DetectorDesign(50, 1000, 1)
     assert spike_spectrum(sc, d).t1 == pytest.approx(1.5, abs=1e-9)
     for target_snr, sigma_v2 in ((math.nan, 1.0), (0.1, math.nan), (math.inf, 1.0)):
-        with pytest.raises(DomainError):
-            gen_channel(5, 1, target_snr, sigma_v2, 1)
+        with pytest.raises(DomainError, match="positive and finite"):
+            scenario_from_snr(5, target_snr, sigma_v2, seed=1)
+
+
+def test_channel_draws_are_pinned():
+    # every seeded signal-present result in the suite rests on these channel bytes
+    h = hashlib.sha256()
+    for args in ((50, 0.1, 1.0, "gaussian", 3), (50, 0.01, 1.0, "qpsk", 5),
+                 (10, 0.5, 2.0, "gaussian", 3), (6, 0.5, 1.0, "gaussian", 1)):
+        h.update(scenario_from_snr(*args).H.tobytes())
+    h.update(scenario_from_component_snrs(50, (0.06, 0.04), seed=8).H.tobytes())
+    assert h.hexdigest() == "9c99f6b2593d9cc516a48e3f3925681aa8e43ffe691c4ca83e8bba20b0138924"
 
 
 def test_component_snr_channel():
@@ -164,6 +174,8 @@ def test_component_snr_channel():
     col = np.sum(np.abs(sc.H) ** 2, axis=0) / 50.0
     assert np.allclose(col, [0.06, 0.04], rtol=1e-12)
     assert snr(sc) == pytest.approx(0.1, rel=1e-12)
+    with pytest.raises(DomainError, match="1 <= P < K"):
+        scenario_from_component_snrs(5, [])
 
 
 # --- batches -----------------------------------------------------------------
@@ -176,7 +188,6 @@ def test_batch_deterministic_and_valid():
     assert np.array_equal(b1.lambda_max, b2.lambda_max)
     assert np.all(b1.lambda_min > 0.0)
     assert np.all(b1.t_stat >= 1.0)
-    assert b1.hypothesis == "H0"
 
 
 def test_batch_noise_scale_cancels_in_ratio():
@@ -205,7 +216,6 @@ def test_batch_h1_uses_scenario_noise():
     sc = scenario_from_snr(10, 0.5, sigma_v2=2.0, seed=3)
     d = DetectorDesign(10, 100, 1)
     b = run_trials(d, sc, trials=50, seed=9)
-    assert b.hypothesis == "H1"
     assert b.sigma_v2 == 2.0
     # signal raises the top eigenvalue well above the noise bulk
     assert b.lambda_max.mean() > 2.0 * 1.3
@@ -486,20 +496,17 @@ def test_eigensolver_against_charpoly_roots():
         assert np.linalg.norm(recon - A) <= 1e-10 * np.linalg.norm(A)
 
 
-# --- empirical CDFs -----------------------------------------------------------
+# --- Kolmogorov-Smirnov distances ---------------------------------------------
 
-def test_empirical_cdf_step_behavior():
-    e = EmpiricalCdf([3.0, 1.0, 2.0])
-    assert e(0.5) == 0.0
-    assert e(1.0) == pytest.approx(1 / 3)  # right-continuous
-    assert e(2.5) == pytest.approx(2 / 3)
-    assert e(9.0) == 1.0
+def _step_cdf(values):
+    """Right-continuous empirical CDF of ``values``."""
+    return lambda x: np.searchsorted(np.sort(values), x, side="right") / len(values)
 
 
 def test_ks_distance_self_is_zero():
     d = DetectorDesign(10, 100, 1)
     b = run_trials(d, None, trials=200, seed=31)
-    assert ks_distance(b, EmpiricalCdf(b.t_stat)) == 0.0
+    assert ks_distance(b, _step_cdf(b.t_stat)) == 0.0
 
 
 def test_ks_distance_detects_shift():
@@ -533,6 +540,22 @@ def test_ks_distance_matches_scipy_kstest():
 def test_ks_distance_needs_samples():
     with pytest.raises(DomainError):
         ks_distance(np.ones(10), lambda v: np.asarray(v))
+    x = np.random.default_rng(0).uniform(size=200)
+    x[17] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        ks_distance(x, lambda v: np.asarray(v))
+    with pytest.raises(DomainError, match="1-D"):
+        ks_distance(np.full((20, 10), 0.5), lambda v: np.asarray(v))
+
+
+def test_batch_rejects_non_finite_eigenvalues():
+    d = DetectorDesign(10, 100, 1)
+    fields = dict(design=d, scenario=None, seed=0, trials=2, sigma_v2=1.0,
+                  lambda_min=[1.0, 1.0], t_stat=[2.0, 2.0], sampler="direct", retries=0)
+    TrialBatch(lambda_max=[2.0, 2.0], **fields)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            TrialBatch(lambda_max=[2.0, bad], **fields)
 
 
 # --- CSV dumps -----------------------------------------------------------------
@@ -557,7 +580,7 @@ def test_dump_cdf_comparison_csv(tmp_path):
     d = DetectorDesign(10, 100, 1)
     b = run_trials(d, None, trials=120, seed=1)
     path = tmp_path / "cdf.csv"
-    dump_cdf_comparison_csv(path, b, EmpiricalCdf(b.t_stat))
+    dump_cdf_comparison_csv(path, b, _step_cdf(b.t_stat))
     lines = path.read_text().splitlines()
     assert lines[0] == "gamma,empirical,analytical"
     assert len(lines) == 121

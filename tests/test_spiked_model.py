@@ -49,6 +49,8 @@ def test_design_invariants():
 def test_scenario_validation():
     with pytest.raises(DomainError):
         Scenario(np.ones((2, 3)), [1, 1, 1], 1.0)  # P >= K
+    with pytest.raises(DomainError, match="1 <= P < K"):
+        Scenario(np.zeros((5, 0)), [], 1.0)  # no source
     with pytest.raises(DomainError):
         Scenario(np.ones((5, 1)), [0.0], 1.0)  # zero power
     with pytest.raises(DomainError):
