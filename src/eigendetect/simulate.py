@@ -15,16 +15,22 @@ stream itself):
   ``trial_seed XOR NOISE_TAG`` and the signal matrix from
   ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
   ``seed XOR mix(p)``;
-* the ``"wishart"`` sampler draws one Bartlett factor ``L`` (K(K+1)/2
-  draws instead of K N) from ``trial_seed XOR WISHART_TAG``;
+* the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
+  Bartlett factor ``L`` of Wishart(N, I_K) (K(K+1)/2 draws instead of K N)
+  for Gaussian sources or none; for other sources it draws the signal matrix
+  ``S`` as ``"direct"`` does, then from that stream a K x P block ``V_1`` of
+  unit complex normals followed by ``L`` of Wishart(N - P, I_K);
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
 With Gaussian sources (or none) the columns of Y are i.i.d. CN(0, R),
 R = H Sigma H^H + sigma_v2 I, so Y Y^H has the law of C L L^H C^H with
 C C^H = R: the ``"wishart"`` sampler takes the eigenvalues of
-(C L)(C L)^H / N and never forms Y.  It is the default for such batches.
-Non-Gaussian sources need ``"direct"``, and it alone reproduces a seeded
-result recorded before the Wishart sampler existed.
+(C L)(C L)^H / N and never forms Y.  With other sources S S^H = R^H R
+(R is P x P, from the QR of S^H), and a unitary rotation of the samples whose
+first P columns span the rows of S leaves the noise white, so Y Y^H = B B^H
+with B = [H R^H + sigma_v V_1, sigma_v L]; this needs K <= N - P.  Wishart is
+the default wherever it applies; ``"direct"`` alone reproduces a seeded
+result recorded before the Wishart sampler covered the batch.
 
 The channel is held fixed across the trials of a batch (one coherent
 sensing epoch); ``redraw_channel=True`` redraws it per trial with the
@@ -231,8 +237,8 @@ def run_trials(
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
     scenario supplied, its own noise variance is used.  ``sampler`` is
-    ``"direct"`` or ``"wishart"`` (Gaussian sources or none only); ``None``
-    picks ``"wishart"`` whenever it applies.
+    ``"direct"`` or ``"wishart"`` (for non-Gaussian sources it needs
+    K <= N - P); ``None`` picks ``"wishart"`` whenever it applies.
     """
     if trials < 1:
         raise DomainError("run_trials: trials must be >= 1")
@@ -243,13 +249,14 @@ def run_trials(
             raise DomainError("run_trials: design and scenario disagree on P")
         sigma_v2 = scenario.sigma_v2
     gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
+    bartlett_fits = gaussian or design.K <= design.N - design.P
     if sampler is None:
-        sampler = "wishart" if gaussian else "direct"
+        sampler = "wishart" if bartlett_fits else "direct"
     if sampler not in SAMPLERS:
         raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
-    if sampler == "wishart" and not gaussian:
-        raise DomainError("run_trials: the wishart sampler needs Gaussian sources, not "
-                          f"{scenario.modulation.value}; use the direct sampler")
+    if sampler == "wishart" and not bartlett_fits:
+        raise DomainError("run_trials: the wishart sampler needs K <= N - P for "
+                          f"{scenario.modulation.value} sources; use the direct sampler")
     draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
@@ -319,13 +326,24 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
         """C with C C^H = R / sigma_v2 = I + H Sigma H^H / sigma_v2."""
         return np.linalg.cholesky(np.eye(K) + (H * (sigma2 / sigma_v2)) @ H.conj().T)
 
-    fixed = None if scenario is None or redraw_channel else whitener(H)
+    gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
+    fixed = whitener(H) if gaussian and scenario is not None and not redraw_channel else None
     scale = sigma_v2 / N
 
     def draw(ts):
-        M = SeededStream(ts ^ WISHART_TAG).wishart_factor(K, N)
-        if scenario is not None:
-            M = (whitener(channel(ts)) if redraw_channel else fixed) @ M
+        stream = SeededStream(ts ^ WISHART_TAG)
+        if gaussian:
+            M = stream.wishart_factor(K, N)
+            if scenario is not None:
+                M = (whitener(channel(ts)) if redraw_channel else fixed) @ M
+        else:
+            # M = B / sigma_v; QR, unlike a Cholesky of S S^H, also factors the
+            # rank-deficient S that discrete symbols can give at small N
+            S = gen_signal(P, N, scenario.modulation, sigma2, ts ^ SIGNAL_TAG)
+            R = np.linalg.qr(S.conj().T, mode="r")
+            A = channel(ts) @ (R.conj().T / math.sqrt(sigma_v2))
+            A += stream.standard_complex_normal((K, P))
+            M = np.hstack([A, stream.wishart_factor(K, N - P)])
         w = np.linalg.eigvalsh(M @ M.conj().T)
         return float(w[0]) * scale, float(w[-1]) * scale
 
@@ -345,10 +363,11 @@ def ks_distance(batch, cdf) -> float:
     if values.ndim != 1 or n < 100 or not np.all(np.isfinite(values)):
         raise DomainError("ks_distance: needs a 1-D sample of at least 100 finite values")
     xs = np.sort(values)
+    F = np.asarray([cdf(xs), cdf(np.nextafter(xs, -np.inf))], dtype=float)  # at, below x_i
+    if not np.all((F >= 0.0) & (F <= 1.0)):
+        raise DomainError("ks_distance: cdf values must be finite and within [0, 1]")
     steps = np.arange(n + 1) / n
-    d_plus = np.max(steps[1:] - np.asarray(cdf(xs), dtype=float))
-    d_minus = np.max(np.asarray(cdf(np.nextafter(xs, -np.inf)), dtype=float) - steps[:-1])
-    return float(max(d_plus, d_minus))
+    return float(max(np.max(steps[1:] - F[0]), np.max(F[1] - steps[:-1])))
 
 
 def dump_batch_csv(path, batch: TrialBatch) -> None:

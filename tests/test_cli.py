@@ -265,12 +265,16 @@ def test_simulate_modulation_needs_a_signal(capsys):
     assert err.startswith("error: --modulation applies only with --snr or --t1")
 
 
-def test_simulate_wishart_sampler_needs_gaussian_sources(tmp_path, capsys):
-    scenario = _qpsk_scenario(tmp_path)
+def test_simulate_wishart_sampler_needs_k_at_most_n_minus_p(tmp_path, capsys):
+    # two QPSK sources at K=9, N=10: the Bartlett factor of N - P = 8 would need shape 0
+    doc = {"K": 9, "N": 10, "sigma_v2": 1.0, "modulation": "qpsk", "Sigma": [4.0, 2.0],
+           "H": [[[1, 0], [0, (-1) ** k]] for k in range(9)]}
+    (tmp_path / "two.json").write_text(json.dumps(doc))
+    scenario = str(tmp_path / "two.json")
     rc, out, err = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200",
                            "--sampler", "wishart")
     assert rc == 2 and out == ""
-    assert "needs Gaussian sources" in err
+    assert err.startswith("error: ") and "needs K <= N - P" in err
     rc, out, _ = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200")
     assert rc == 0 and out == run_cli(capsys, "simulate", "--scenario", scenario, "--trials",
                                       "200", "--sampler", "direct")[1]

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: generators, batches, KS distances."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from eigendetect.rng import SeededStream
 from eigendetect.simulate import (
     NOISE_TAG,
     SAMPLERS,
+    SIGNAL_TAG,
     TrialBatch,
     WISHART_TAG,
     _RETRY_TAG,
@@ -253,18 +255,19 @@ def _flaky_eigvalsh(monkeypatch, failing_calls):
 
 def test_batch_retries_a_failed_eigensolve(monkeypatch):
     d = DetectorDesign(8, 64, 1)
-    for sampler in SAMPLERS:
-        clean = run_trials(d, None, trials=10, seed=21, sampler=sampler)
+    qpsk = scenario_from_snr(8, 0.5, modulation="qpsk", seed=2)
+    for sc, sampler in itertools.product((None, qpsk), SAMPLERS):
+        clean = run_trials(d, sc, trials=10, seed=21, sampler=sampler)
         batches = []
         for _ in range(2):
             _flaky_eigvalsh(monkeypatch, {4})  # the first attempt of trial 3
-            batches.append(run_trials(d, None, trials=10, seed=21, sampler=sampler))
+            batches.append(run_trials(d, sc, trials=10, seed=21, sampler=sampler))
             monkeypatch.undo()
         a, b = batches
         assert np.array_equal(a.t_stat, b.t_stat)
         assert (clean.retries, a.retries, a.sampler) == (0, 1, sampler)
         # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
-        draw = _trial_draw(d, None, 1.0, False, sampler)
+        draw = _trial_draw(d, sc, 1.0, False, sampler)
         lo, hi = draw(trial_seed(21, 3) ^ _RETRY_TAG)
         assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
         assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
@@ -290,22 +293,33 @@ def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
 # tuned to the outcome: the geometry (K=10, N=100), 2000 trials per batch, direct
 # batches on seed 101, Wishart batches on seed 202 (distinct, so a redrawn channel
 # is independent across the two), scenario channels on seed 7, and a two-sample KS
-# test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.
+# test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.  Each
+# non-Gaussian modulation has a one-source case with a fixed channel and a
+# two-source case with a redrawn channel.
 
 EQ_DESIGN_KN = (10, 100)
 EQ_TRIALS = 2000
 EQ_SEEDS = {"direct": 101, "wishart": 202}
 EQ_ALPHA = 1e-3
-EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw")
+EQ_MODULATIONS = ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex")
+EQ_NON_GAUSSIAN = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p2_redraw"))
+EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
+# real off-diagonal entries keep every second moment, and at this geometry the
+# non-Gaussian cases reject them only at p = 5e-5 to 3e-2; the dropped-V_1
+# control below is theirs
+EQ_REAL_OFF_DIAGONAL_CASES = EQ_CASES[:4]
 
 
 def _eq_case(case):
     K, N = EQ_DESIGN_KN
+    modulation, _, case = case.rpartition("/")
+    modulation = modulation or "gaussian"
     if case == "h0":
         return DetectorDesign(K, N, 1), None, False
     if case == "p1_fixed":
-        return DetectorDesign(K, N, 1), scenario_from_snr(K, 0.5, sigma_v2=2.0, seed=7), False
-    sc = scenario_from_component_snrs(K, (0.3, 0.2), seed=7)
+        sc = scenario_from_snr(K, 0.5, sigma_v2=2.0, modulation=modulation, seed=7)
+        return DetectorDesign(K, N, 1), sc, False
+    sc = scenario_from_component_snrs(K, (0.3, 0.2), modulation=modulation, seed=7)
     return DetectorDesign(K, N, 2), sc, case == "p2_redraw"
 
 
@@ -347,10 +361,29 @@ def _real_off_diagonal(self, K, N):
     return L
 
 
-@pytest.mark.parametrize("case", EQ_CASES)
-@pytest.mark.parametrize("wrong", [_wrong_diagonal, _real_off_diagonal])
-def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, case, wrong):
+@pytest.mark.parametrize("wrong, case",
+                         [(_wrong_diagonal, case) for case in EQ_CASES]
+                         + [(_real_off_diagonal, case) for case in EQ_REAL_OFF_DIAGONAL_CASES])
+def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, wrong, case):
     monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
+    p = _eq_pvalues(case)
+    assert min(p.values()) < EQ_ALPHA, p
+
+
+class _NoV1Stream(SeededStream):
+    """Control: each wishart trial stream's first draw, the K x P block V_1, comes back zero."""
+
+    seeds = frozenset(trial_seed(EQ_SEEDS["wishart"], i) ^ WISHART_TAG for i in range(EQ_TRIALS))
+
+    def standard_complex_normal(self, shape):
+        first = self._cursor == 0
+        z = super().standard_complex_normal(shape)
+        return 0.0 * z if first and int(self._seed) in self.seeds else z
+
+
+@pytest.mark.parametrize("case", EQ_NON_GAUSSIAN)
+def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
+    monkeypatch.setattr(simulate, "SeededStream", _NoV1Stream)
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
@@ -361,11 +394,29 @@ def test_sampler_choice_follows_the_modulation():
     qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
     assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
     assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
+    assert run_trials(d, qpsk, trials=3, seed=1).sampler == "wishart"
+    # K > N - P: the Bartlett factor of N - P would need a shape below 1
+    d = DetectorDesign(9, 10, 2)
+    qpsk = scenario_from_component_snrs(9, (0.5, 0.3), modulation="qpsk", seed=1)
     assert run_trials(d, qpsk, trials=3, seed=1).sampler == "direct"
-    with pytest.raises(DomainError, match="Gaussian sources"):
+    with pytest.raises(DomainError, match=r"K <= N - P"):
         run_trials(d, qpsk, trials=3, seed=1, sampler="wishart")
+    gauss = scenario_from_component_snrs(9, (0.5, 0.3), seed=1)
+    assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
     with pytest.raises(DomainError, match="unknown sampler"):
         run_trials(d, None, trials=3, seed=1, sampler="bartlett")
+
+
+def test_wishart_sampler_factors_a_rank_deficient_signal():
+    # at N = 5 two QPSK rows are collinear in 1 trial of 256, and S S^H is singular
+    d = DetectorDesign(3, 5, 2)
+    sc = scenario_from_component_snrs(3, (0.5, 0.3), modulation="qpsk", seed=1)
+    b = run_trials(d, sc, trials=2000, seed=4, sampler="wishart")
+    assert b.retries == 0
+    grams = [S @ S.conj().T for S in (gen_signal(2, 5, "qpsk", sc.sigma2,
+                                                 trial_seed(4, i) ^ SIGNAL_TAG)
+                                      for i in range(2000))]
+    assert sum(abs(np.linalg.det(G)) < 1e-9 for G in grams) >= 2
 
 
 # scalar reference of the rng.py contract; the elementary functions are numpy's
@@ -548,6 +599,16 @@ def test_ks_distance_needs_samples():
         ks_distance(np.full((20, 10), 0.5), lambda v: np.asarray(v))
 
 
+def test_ks_distance_rejects_a_bad_cdf():
+    x = np.random.default_rng(0).uniform(size=200)
+    for cdf in (lambda v: np.where(v > 0.5, math.nan, v),
+                lambda v: np.where(v > 0.5, math.inf, v),
+                lambda v: np.asarray(v) - 0.5,
+                lambda v: 2.0 * np.asarray(v)):
+        with pytest.raises(DomainError, match=r"within \[0, 1\]"):
+            ks_distance(x, cdf)
+
+
 def test_batch_rejects_non_finite_eigenvalues():
     d = DetectorDesign(10, 100, 1)
     fields = dict(design=d, scenario=None, seed=0, trials=2, sigma_v2=1.0,
@@ -568,7 +629,7 @@ def test_dump_batch_csv(tmp_path):
     dump_batch_csv(path, b)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2")
-    assert lines[0].endswith(" sampler=direct retries=0")
+    assert lines[0].endswith(" sampler=wishart retries=0")
     assert lines[1] == "trial,lambda_max,lambda_min,t"
     assert len(lines) == 22
     row = lines[2].split(",")
