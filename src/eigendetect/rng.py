@@ -37,6 +37,13 @@ stream may change between releases:
   Edelman 2002).  The simulator draws it from ``trial_seed XOR
   WISHART_TAG`` (see :mod:`eigendetect.simulate`).
 
+A stream over a 1-D array of seeds is that many of these streams side by
+side, each with its own cursor: every draw gains a leading row axis, and
+row t is bit for bit the draw of the scalar stream of seed t.  A gamma draw
+runs its rounds jointly over the rows still open, so each row consumes the
+whole rounds it would consume alone.  The simulator draws a chunk of
+trials this way (see :mod:`eigendetect.simulate`).
+
 Derived seeds (per-trial, per-row) are produced with :func:`mix`, a
 SplitMix64-style hash of the counter, XORed into the parent seed.
 """
@@ -78,18 +85,20 @@ def mix(counter: int) -> int:
 
 
 class SeededStream:
-    """Sequential view over the counter-based word stream of one seed."""
+    """Sequential view over the word streams of a seed, or of a 1-D array of seeds
+    (one cursor per row; row t of a draw is the draw of ``SeededStream(seeds[t])``)."""
 
-    def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _MASK)
-        self._cursor = 0
+    def __init__(self, seed):
+        self._lead = np.shape(seed)
+        self._seed = np.array([int(s) & _MASK for s in np.ravel(seed)], dtype=np.uint64)
+        self._cursor = np.zeros(self._seed.size, dtype=np.uint64)
 
     def _words(self, n: int) -> np.ndarray:
         start = self._cursor
-        self._cursor += n
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        self._cursor = start + np.uint64(n)
+        idx = start[:, None] + np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _mix64(self._seed + idx * _GAMMA)
+            return _mix64(self._seed[:, None] + idx * _GAMMA).reshape(self._lead + (n,))
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms on the open-left interval (0, 1]."""
@@ -101,10 +110,10 @@ class SeededStream:
         angle = self.uniform_open(m)
         r = np.sqrt(-2.0 * np.log(radius))
         theta = (2.0 * np.pi) * angle
-        pairs = np.empty((m, 2))
-        pairs[:, 0] = r * np.cos(theta)
-        pairs[:, 1] = r * np.sin(theta)
-        return pairs.reshape(-1)[:n]
+        pairs = np.empty(self._lead + (m, 2))
+        pairs[..., 0] = r * np.cos(theta)
+        pairs[..., 1] = r * np.sin(theta)
+        return pairs.reshape(self._lead + (2 * m,))[..., :n]
 
     def standard_complex_normal(self, shape) -> np.ndarray:
         """Circularly symmetric complex normals with unit total variance."""
@@ -112,36 +121,38 @@ class SeededStream:
         n = int(np.prod(shape)) if shape else 1
         x = self.standard_normal(n)
         y = self.standard_normal(n)
-        return ((x + 1j * y) * np.sqrt(0.5)).reshape(shape)
+        return ((x + 1j * y) * np.sqrt(0.5)).reshape(self._lead + shape)
 
     def standard_gamma(self, shape) -> np.ndarray:
         """Gamma(a, 1) draws, one per shape a >= 1, by rounds of Marsaglia-Tsang."""
         a = np.asarray(shape, dtype=float)
         if not np.all(a >= 1.0):
             raise DomainError("standard_gamma: shapes must be >= 1")
-        d = a - 1.0 / 3.0
+        d = a.reshape(-1) - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
-        out = np.empty_like(d)
-        todo = np.ones(d.shape, dtype=bool)
+        out = np.empty((self._seed.size, d.size))
+        todo = np.ones(out.shape, dtype=bool)
         while todo.any():
-            x = self.standard_normal(d.size).reshape(d.shape)
-            u = self.uniform_open(d.size).reshape(d.shape)
+            start = self._cursor
+            x = self.standard_normal(d.size).reshape(out.shape)
+            u = self.uniform_open(d.size).reshape(out.shape)
+            # a row that accepted in an earlier round takes no words from this one
+            self._cursor = np.where(todo.any(axis=1), self._cursor, start)
             t = 1.0 + c * x
             v = t * t * t
             with np.errstate(invalid="ignore", divide="ignore"):
                 ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
-            take = todo & ok
-            out[take] = d[take] * v[take]
+            out = np.where(todo & ok, d * v, out)
             todo &= ~ok
-        return out
+        return out.reshape(self._lead + a.shape)
 
     def wishart_factor(self, K: int, N: int) -> np.ndarray:
         """Lower-triangular L with L L^H complex Wishart(N, I_K) (Bartlett)."""
-        L = np.zeros((K, K), dtype=complex)
-        flat = L.reshape(-1)
-        flat[_strict_lower(K)] = self.standard_complex_normal(K * (K - 1) // 2)
-        flat[:: K + 1] = np.sqrt(self.standard_gamma(N - np.arange(K)))
-        return L
+        L = np.zeros((self._seed.size, K, K), dtype=complex)
+        flat = L.reshape(self._seed.size, -1)
+        flat[:, _strict_lower(K)] = self.standard_complex_normal(K * (K - 1) // 2)
+        flat[:, :: K + 1] = np.sqrt(self.standard_gamma(N - np.arange(K)))
+        return L.reshape(self._lead + (K, K))
 
 
 @lru_cache(maxsize=16)

@@ -22,6 +22,12 @@ stream itself):
   unit complex normals followed by ``L`` of Wishart(N - P, I_K);
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
+Trials run in chunks: each draw above is made once for the chunk's whole
+array of trial seeds (see :class:`eigendetect.rng.SeededStream`), and the
+Gram matrices are factored and solved as one stack.  Row t of a chunk is
+bit for bit trial t's own draw, so the chunk size changes no output; a
+chunk whose eigensolve fails is redone one trial at a time.
+
 With Gaussian sources (or none) the columns of Y are i.i.d. CN(0, R),
 R = H Sigma H^H + sigma_v2 I, so Y Y^H has the law of C L L^H C^H with
 C C^H = R: the ``"wishart"`` sampler takes the eigenvalues of
@@ -40,6 +46,7 @@ per-source received powers preserved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +78,8 @@ SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
 WISHART_TAG = 0x6A09E667F3BCC908
 _RETRY_TAG = 0x243F6A8885A308D3
+# about this many bytes of complex draws per chunk of trials
+_CHUNK_BYTES = 1 << 19
 
 SAMPLERS = ("direct", "wishart")
 
@@ -84,8 +93,8 @@ def trial_seed(seed: int, index: int) -> int:
     return (int(seed) ^ mix(index)) & (2 ** 64 - 1)
 
 
-def gen_noise(K: int, N: int, sigma_v2: float, seed: int) -> np.ndarray:
-    """K x N circularly symmetric complex Gaussian noise, E|v|^2 = sigma_v2."""
+def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
+    """K x N circularly symmetric complex Gaussian noise, E|v|^2 = sigma_v2 (per seed)."""
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("gen_noise: sigma_v2 must be positive and finite")
     z = SeededStream(seed).standard_complex_normal((K, N))
@@ -131,13 +140,13 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
     if modulation is Modulation.QPSK_SRRC:
         n_sym = -(-n // _SRRC_SPS) + _SRRC_SPAN + 2
         sym = _unit_qpsk(stream, n_sym)
-        up = np.zeros(n_sym * _SRRC_SPS, dtype=complex)
-        up[:: _SRRC_SPS] = sym
-        shaped = np.convolve(up, _SRRC_TAPS, mode="full")
+        up = np.zeros(sym.shape[:-1] + (n_sym * _SRRC_SPS,), dtype=complex)
+        up[..., :: _SRRC_SPS] = sym
+        shaped = np.apply_along_axis(np.convolve, -1, up, _SRRC_TAPS, mode="full")
         # skip one full filter length so every kept sample sees a fully
         # populated pulse window; sqrt(sps) restores unit average power
         start = _SRRC_TAPS.size - 1
-        return shaped[start : start + n] * math.sqrt(_SRRC_SPS)
+        return shaped[..., start : start + n] * math.sqrt(_SRRC_SPS)
     if modulation is Modulation.PSK_NONCOHERENT:
         theta = 2.0 * np.pi * stream.uniform_open(n)
         return np.exp(1j * theta)
@@ -148,18 +157,19 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
         return re + 1j * im
 
 
-def gen_signal(P: int, N: int, modulation, sigma2, seed: int) -> np.ndarray:
-    """P x N source samples: independent rows, row p has variance sigma2[p]."""
+def gen_signal(P: int, N: int, modulation, sigma2, seed) -> np.ndarray:
+    """P x N source samples (per seed): independent rows, row p has variance sigma2[p]."""
     modulation = _as_modulation(modulation)
     sigma2 = np.asarray(sigma2, dtype=float).reshape(-1)
     if sigma2.shape[0] != P:
         raise DomainError("gen_signal: sigma2 must hold one power per source")
     if not np.all((sigma2 > 0.0) & (sigma2 < math.inf)):
         raise DomainError("gen_signal: source powers must be positive and finite")
-    out = np.empty((P, N), dtype=complex)
+    seed = int(seed) if np.ndim(seed) == 0 else seed
+    out = np.empty(np.shape(seed) + (P, N), dtype=complex)
     for p in range(P):
-        stream = SeededStream(int(seed) ^ mix(p))
-        out[p] = math.sqrt(sigma2[p]) * _unit_row(stream, N, modulation)
+        stream = SeededStream(seed ^ mix(p))
+        out[..., p, :] = math.sqrt(sigma2[p]) * _unit_row(stream, N, modulation)
     return out
 
 
@@ -240,14 +250,16 @@ def run_trials(
     ``"direct"`` or ``"wishart"`` (for non-Gaussian sources it needs
     K <= N - P); ``None`` picks ``"wishart"`` whenever it applies.
     """
-    if trials < 1:
-        raise DomainError("run_trials: trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise DomainError("run_trials: trials must be an integer >= 1")
     if scenario is not None:
         if scenario.K != design.K:
             raise DomainError("run_trials: design and scenario disagree on K")
         if scenario.P != design.P:
             raise DomainError("run_trials: design and scenario disagree on P")
         sigma_v2 = scenario.sigma_v2
+    if not 0.0 < sigma_v2 < math.inf:
+        raise DomainError("run_trials: sigma_v2 must be positive and finite")
     gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
     bartlett_fits = gaussian or design.K <= design.N - design.P
     if sampler is None:
@@ -258,23 +270,39 @@ def run_trials(
         raise DomainError("run_trials: the wishart sampler needs K <= N - P for "
                           f"{scenario.modulation.value} sources; use the direct sampler")
     draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
+    K, N, P = design.K, design.N, design.P
+    entries = (K + P) * N if sampler == "direct" else K * (K + P) + P * N  # per trial
+    chunk = max(1, _CHUNK_BYTES // (16 * entries))
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
     np.empty(1 << 22, np.uint8)
     lam_max = np.empty(trials)
     lam_min = np.empty(trials)
+
+    def solved(rows, seeds):
+        try:
+            lam_min[rows], lam_max[rows] = draw(seeds)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     failed = []
-    for i in range(trials):
-        ts = trial_seed(seed, i)
-        lo_hi = _attempt(draw, ts)
-        if lo_hi is None:
-            lo_hi = _attempt(draw, ts ^ _RETRY_TAG)
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        seeds = np.array([trial_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
+        if solved(slice(lo, hi), seeds):
+            continue
+        # one trial at a time; a failed trial is redrawn once from trial_seed ^ _RETRY_TAG
+        for i in range(lo, hi):
+            one = seeds[i - lo : i - lo + 1]
+            if solved(slice(i, i + 1), one):
+                continue
             failed.append(i)
-            if lo_hi is None or len(failed) > max(1, trials // 1000):
+            retried = solved(slice(i, i + 1), one ^ _RETRY_TAG)
+            if not retried or len(failed) > max(1, trials // 1000):
                 raise NumericError(
                     f"run_trials: eigensolver failed on {len(failed)} of {trials} trials"
                 )
-        lam_min[i], lam_max[i] = lo_hi
 
     return TrialBatch(
         design=design,
@@ -290,62 +318,56 @@ def run_trials(
     )
 
 
-def _attempt(draw, ts):
-    try:
-        return draw(ts)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
-    """``draw(trial_seed) -> (lambda_min, lambda_max)`` of one trial's sample covariance."""
+    """``draw(trial_seeds) -> (lambda_min, lambda_max)``, one entry per trial seed."""
     K, N = design.K, design.N
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
         base_norms = np.sqrt(np.sum(np.abs(H) ** 2, axis=0))
 
-    def channel(ts):
+    def channel(seeds):
         if not redraw_channel:
             return H
-        g = SeededStream(ts ^ CHANNEL_TAG).standard_complex_normal((K, P))
-        norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
-        return g * (base_norms / norms)[None, :]
+        g = SeededStream(seeds ^ CHANNEL_TAG).standard_complex_normal((K, P))
+        norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=-2))
+        return g * (base_norms / norms)[:, None, :]
 
     if sampler == "direct":
-        def draw(ts):
-            Y = gen_noise(K, N, sigma_v2, ts ^ NOISE_TAG)
+        def draw(seeds):
+            Y = gen_noise(K, N, sigma_v2, seeds ^ NOISE_TAG)
             if scenario is not None:
-                Y = channel(ts) @ gen_signal(P, N, scenario.modulation, sigma2,
-                                             ts ^ SIGNAL_TAG) + Y
-            w = np.linalg.eigvalsh((Y @ Y.conj().T) / N)
-            return float(w[0]), float(w[-1])
+                Y = channel(seeds) @ gen_signal(P, N, scenario.modulation, sigma2,
+                                                seeds ^ SIGNAL_TAG) + Y
+            w = np.linalg.eigvalsh((Y @ Y.conj().swapaxes(-1, -2)) / N)
+            return w[:, 0], w[:, -1]
 
         return draw
 
     def whitener(H):
         """C with C C^H = R / sigma_v2 = I + H Sigma H^H / sigma_v2."""
-        return np.linalg.cholesky(np.eye(K) + (H * (sigma2 / sigma_v2)) @ H.conj().T)
+        weighted = H * (sigma2 / sigma_v2)
+        return np.linalg.cholesky(np.eye(K) + weighted @ H.conj().swapaxes(-1, -2))
 
     gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
     fixed = whitener(H) if gaussian and scenario is not None and not redraw_channel else None
     scale = sigma_v2 / N
 
-    def draw(ts):
-        stream = SeededStream(ts ^ WISHART_TAG)
+    def draw(seeds):
+        stream = SeededStream(seeds ^ WISHART_TAG)
         if gaussian:
             M = stream.wishart_factor(K, N)
             if scenario is not None:
-                M = (whitener(channel(ts)) if redraw_channel else fixed) @ M
+                M = (whitener(channel(seeds)) if redraw_channel else fixed) @ M
         else:
             # M = B / sigma_v; QR, unlike a Cholesky of S S^H, also factors the
             # rank-deficient S that discrete symbols can give at small N
-            S = gen_signal(P, N, scenario.modulation, sigma2, ts ^ SIGNAL_TAG)
-            R = np.linalg.qr(S.conj().T, mode="r")
-            A = channel(ts) @ (R.conj().T / math.sqrt(sigma_v2))
+            S = gen_signal(P, N, scenario.modulation, sigma2, seeds ^ SIGNAL_TAG)
+            R = np.linalg.qr(S.conj().swapaxes(-1, -2), mode="r")
+            A = channel(seeds) @ (R.conj().swapaxes(-1, -2) / math.sqrt(sigma_v2))
             A += stream.standard_complex_normal((K, P))
-            M = np.hstack([A, stream.wishart_factor(K, N - P)])
-        w = np.linalg.eigvalsh(M @ M.conj().T)
-        return float(w[0]) * scale, float(w[-1]) * scale
+            M = np.concatenate([A, stream.wishart_factor(K, N - P)], axis=-1)
+        w = np.linalg.eigvalsh(M @ M.conj().swapaxes(-1, -2))
+        return w[:, 0] * scale, w[:, -1] * scale
 
     return draw
 

@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from eigendetect import simulate
@@ -79,6 +82,47 @@ def test_gaussian_moments():
     assert abs(z.var() - 1.0) < 5e-3
     assert abs(np.mean(z ** 3)) < 1e-2
     assert abs(np.mean(z ** 4) - 3.0) < 3e-2
+
+
+# a draw on a stream: (method name, its arguments)
+STREAM_CALLS = st.one_of(
+    st.tuples(st.just("uniform_open"), st.tuples(st.integers(1, 9))),
+    st.tuples(st.just("standard_normal"), st.tuples(st.integers(1, 9))),
+    st.tuples(st.just("standard_complex_normal"),
+              st.tuples(st.one_of(st.integers(1, 7), st.tuples(st.integers(1, 3),
+                                                               st.integers(1, 3))))),
+    # shapes near 1 accept least often, so rows finish on different rounds
+    st.tuples(st.just("standard_gamma"),
+              st.tuples(st.lists(st.floats(1.0, 1.5), min_size=1, max_size=8))),
+    st.tuples(st.just("wishart_factor"),
+              st.integers(1, 5).flatmap(lambda K: st.tuples(st.just(K), st.integers(K, 12)))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=6),
+       calls=st.lists(STREAM_CALLS, min_size=1, max_size=6))
+def test_multi_seed_rows_are_the_scalar_streams(seeds, calls):
+    multi = SeededStream(np.array(seeds, dtype=np.uint64))
+    scalars = [SeededStream(seed) for seed in seeds]
+    for name, args in calls:
+        rows = getattr(multi, name)(*args)
+        assert rows.shape[0] == len(seeds)
+        for t, scalar in enumerate(scalars):
+            assert np.array_equal(rows[t], getattr(scalar, name)(*args))
+        assert [int(c) for c in multi._cursor] == [int(s._cursor[0]) for s in scalars]
+
+
+def test_multi_seed_gamma_rows_take_their_own_rounds():
+    # 64 rows of eight shape-1 gammas: some rows accept in round one, some need more
+    multi = SeededStream(np.arange(64, dtype=np.uint64))
+    g = multi.standard_gamma(np.ones(8))
+    cursors = {int(c) for c in multi._cursor}
+    assert cursors >= {16, 32}
+    for t in range(64):
+        scalar = SeededStream(t)
+        assert np.array_equal(g[t], scalar.standard_gamma(np.ones(8)))
+        assert scalar._cursor[0] == multi._cursor[t]
 
 
 # --- noise -------------------------------------------------------------------
@@ -239,14 +283,32 @@ def test_batch_scenario_design_mismatch():
         run_trials(DetectorDesign(12, 100, 1), sc, trials=5, seed=0)
 
 
-def _flaky_eigvalsh(monkeypatch, failing_calls):
-    """Make np.linalg.eigvalsh raise LinAlgError on the given 1-based calls."""
+def _eigvalsh_stacks(monkeypatch):
+    """Keep every stack of matrices np.linalg.eigvalsh is given, in call order."""
+    real, stacks = np.linalg.eigvalsh, []
+
+    def record(a):
+        stacks.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return stacks
+
+
+def _gram_matrices(monkeypatch, design, scenario, sampler, seeds):
+    """The matrices np.linalg.eigvalsh factors for the trials drawn from these seeds."""
+    stacks = _eigvalsh_stacks(monkeypatch)
+    _trial_draw(design, scenario, 1.0, False, sampler)(np.array(sorted(seeds), dtype=np.uint64))
+    monkeypatch.undo()
+    return list(stacks[0])
+
+
+def _flaky_eigvalsh(monkeypatch, failing):
+    """Make np.linalg.eigvalsh raise LinAlgError on any stack holding one of these matrices."""
     real = np.linalg.eigvalsh
-    calls = [0]
 
     def flaky(a):
-        calls[0] += 1
-        if calls[0] in failing_calls:
+        if any(np.any(np.all(a == g, axis=(-2, -1))) for g in failing):
             raise np.linalg.LinAlgError("injected eigensolver failure")
         return real(a)
 
@@ -258,9 +320,10 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
     qpsk = scenario_from_snr(8, 0.5, modulation="qpsk", seed=2)
     for sc, sampler in itertools.product((None, qpsk), SAMPLERS):
         clean = run_trials(d, sc, trials=10, seed=21, sampler=sampler)
+        trial_3 = _gram_matrices(monkeypatch, d, sc, sampler, {trial_seed(21, 3)})
         batches = []
         for _ in range(2):
-            _flaky_eigvalsh(monkeypatch, {4})  # the first attempt of trial 3
+            _flaky_eigvalsh(monkeypatch, trial_3)  # the first attempt of trial 3
             batches.append(run_trials(d, sc, trials=10, seed=21, sampler=sampler))
             monkeypatch.undo()
         a, b = batches
@@ -268,7 +331,7 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
         assert (clean.retries, a.retries, a.sampler) == (0, 1, sampler)
         # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
         draw = _trial_draw(d, sc, 1.0, False, sampler)
-        lo, hi = draw(trial_seed(21, 3) ^ _RETRY_TAG)
+        (lo,), (hi,) = draw(np.array([trial_seed(21, 3) ^ _RETRY_TAG], dtype=np.uint64))
         assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
         assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
         others = np.arange(10) != 3
@@ -276,15 +339,106 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failing_calls",
-    [{1, 3}, {1, 2}],  # two failed trials (more than max(1, 10 // 1000)); a failed retry
+    "failing_calls",  # the trial seeds whose eigensolve fails
+    [{trial_seed(21, 0), trial_seed(21, 1)},  # two failed trials (more than max(1, 10 // 1000))
+     {trial_seed(21, 0), trial_seed(21, 0) ^ _RETRY_TAG}],  # a failed retry
 )
 def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
     for sampler in SAMPLERS:
-        _flaky_eigvalsh(monkeypatch, failing_calls)
+        failing = _gram_matrices(monkeypatch, DetectorDesign(8, 64, 1), None, sampler,
+                                 failing_calls)
+        _flaky_eigvalsh(monkeypatch, failing)
         with pytest.raises(NumericError, match="eigensolver failed"):
             run_trials(DetectorDesign(8, 64, 1), None, trials=10, seed=21, sampler=sampler)
         monkeypatch.undo()
+
+
+# sha256 over the t_stat bytes of one batch per trial count, at (8, 64) with batch seed 5 and
+# sigma_v2 1.5 (the scenario's own elsewhere), recorded when every trial was drawn and solved
+# alone.  The counts are 1, c - 1, c, c + 1 and 2c + 3 for the chunk size c of each case.
+BATCH_PINS = {
+    "h0": ((1, 239, 240, 241, 483),
+        "4dcc1789015961687303910b1667c9f19ec653bc08993089ff92cbc668057ba4"),
+    "p1_fixed": ((1, 239, 240, 241, 483),
+        "36e1622acf0f1f73f5b8164aea796064f0bbc4f3195a8af9724795e02021f1c8"),
+    "p2_fixed": ((1, 156, 157, 158, 317),
+        "61043c65edf61a6fef751c826e375516de63806b8a3db4ac02202c0449812d67"),
+    "p2_redraw": ((1, 156, 157, 158, 317),
+        "0fbcb13a906719e72d5436fb48c46e2d83c7cfb661b955c2e100526701778823"),
+    "qpsk/p1_fixed": ((1, 239, 240, 241, 483),
+        "68cc82375d9e39974cede7b561c7da49f9e9c110e1a6c2d5afe3b91dff4d735c"),
+    "qpsk_srrc/p1_fixed": ((1, 239, 240, 241, 483),
+        "d809340277c4ecd5a7f95a57698c16808f5939a6d68aca060ede541d3ef300c3"),
+    "psk_noncoherent/p1_fixed": ((1, 239, 240, 241, 483),
+        "4cc2b0d8df504e0f5859734d9ca07da6eddb227717679bb6dbcb2394e57ecfd4"),
+    "uniform_complex/p1_fixed": ((1, 239, 240, 241, 483),
+        "e629570cd0ec44c842c37856197de4ca3e4350cba57bec0fcfc32eea2d1bea44"),
+    "qpsk/p2_redraw": ((1, 156, 157, 158, 317),
+        "57ccc2ed9856202858777dfea5e09c8ffaccb56c1e55affbbfe1ae636711be40"),
+    "h0@direct": ((1, 55, 56, 57, 115),
+        "09919133e9c7da1e6436d968cd0dce537b0346f70c3d9649901ca1790f28a148"),
+    "qpsk/p2_redraw@direct": ((1, 50, 51, 52, 105),
+        "8c38c7dde8cb004c667dec194d1e0b8bccd6bb93096ed1c30ed9418b91c75490"),
+}
+
+
+def _pin_case(case):
+    """(design, scenario, redraw_channel, sampler) of a BATCH_PINS key: an EQ case at (8, 64)."""
+    case, _, sampler = case.partition("@")
+    return (*_eq_case(case, (8, 64)), sampler or None)
+
+
+@pytest.mark.parametrize("case", BATCH_PINS)
+def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
+    counts, digest = BATCH_PINS[case]
+    d, sc, redraw, sampler = _pin_case(case)
+    stacks = _eigvalsh_stacks(monkeypatch)
+    h = hashlib.sha256()
+    for n in counts:
+        b = run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
+                       sampler=sampler)
+        h.update(b.t_stat.tobytes())
+    c = counts[2]
+    # the counts straddle the chunk edges
+    assert [len(a) for a in stacks] == [1, c - 1, c, c, 1, c, c, 3]
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["h0", "qpsk_srrc/p1_fixed", "qpsk/p2_redraw",
+                                  "qpsk/p2_redraw@direct"])
+def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
+    d, sc, redraw, sampler = _pin_case(case)
+    counts, _ = BATCH_PINS[case]
+
+    def batch(n):
+        return run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
+                          sampler=sampler)
+
+    full = batch(counts[-1])
+    for m in counts[:-1]:
+        part = batch(m)
+        assert np.array_equal(part.lambda_min, full.lambda_min[:m])
+        assert np.array_equal(part.lambda_max, full.lambda_max[:m])
+    monkeypatch.setattr(simulate, "_CHUNK_BYTES", 1)  # one trial per chunk
+    alone = batch(counts[-1])
+    assert np.array_equal(alone.lambda_min, full.lambda_min)
+    assert np.array_equal(alone.lambda_max, full.lambda_max)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sampler):
+    stacks = _eigvalsh_stacks(monkeypatch)
+    d = DetectorDesign(8, 64, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma_v2 in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="sigma_v2 must be positive and finite"):
+                run_trials(d, None, trials=2000, seed=1, sigma_v2=sigma_v2, sampler=sampler)
+        for trials in (10.0, True, 0, -3, "10", None):
+            with pytest.raises(DomainError, match="trials must be an integer >= 1"):
+                run_trials(d, None, trials=trials, seed=1, sampler=sampler)
+    assert stacks == []
+    assert run_trials(d, None, trials=np.int64(3), seed=1, sampler=sampler).trials == 3
 
 
 # --- samplers ----------------------------------------------------------------------
@@ -310,8 +464,8 @@ EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
 EQ_REAL_OFF_DIAGONAL_CASES = EQ_CASES[:4]
 
 
-def _eq_case(case):
-    K, N = EQ_DESIGN_KN
+def _eq_case(case, K_N=EQ_DESIGN_KN):
+    K, N = K_N
     modulation, _, case = case.rpartition("/")
     modulation = modulation or "gaussian"
     if case == "h0":
@@ -345,20 +499,26 @@ def test_samplers_draw_the_same_law(case):
     assert min(p.values()) >= EQ_ALPHA, p
 
 
+def _factor(below, gammas):
+    """Lower-triangular factors (one per stream row) from strict-lower entries and gammas."""
+    K = gammas.shape[-1]
+    L = np.zeros(gammas.shape + (K,), dtype=complex)
+    i, j = np.tril_indices(K, -1)
+    L[..., i, j] = below
+    L[..., np.arange(K), np.arange(K)] = np.sqrt(gammas)
+    return L
+
+
 def _wrong_diagonal(self, K, N):
     # Gamma shapes two below Bartlett's N - i
-    L = np.zeros((K, K), dtype=complex)
-    L[np.tril_indices(K, -1)] = self.standard_complex_normal(K * (K - 1) // 2)
-    L[np.diag_indices(K)] = np.sqrt(self.standard_gamma(N - np.arange(K) - 2))
-    return L
+    below = self.standard_complex_normal(K * (K - 1) // 2)
+    return _factor(below, self.standard_gamma(N - np.arange(K) - 2))
 
 
 def _real_off_diagonal(self, K, N):
     # unit-variance real entries below the diagonal instead of complex ones
-    L = np.zeros((K, K), dtype=complex)
-    L[np.tril_indices(K, -1)] = self.standard_normal(K * (K - 1) // 2)
-    L[np.diag_indices(K)] = np.sqrt(self.standard_gamma(N - np.arange(K)))
-    return L
+    below = self.standard_normal(K * (K - 1) // 2)
+    return _factor(below, self.standard_gamma(N - np.arange(K)))
 
 
 @pytest.mark.parametrize("wrong, case",
@@ -373,12 +533,13 @@ def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, wrong, case):
 class _NoV1Stream(SeededStream):
     """Control: each wishart trial stream's first draw, the K x P block V_1, comes back zero."""
 
-    seeds = frozenset(trial_seed(EQ_SEEDS["wishart"], i) ^ WISHART_TAG for i in range(EQ_TRIALS))
+    seeds = np.array([trial_seed(EQ_SEEDS["wishart"], i) ^ WISHART_TAG for i in range(EQ_TRIALS)],
+                     dtype=np.uint64)
 
     def standard_complex_normal(self, shape):
-        first = self._cursor == 0
+        keep = np.where((self._cursor == 0) & np.isin(self._seed, self.seeds), 0.0, 1.0)
         z = super().standard_complex_normal(shape)
-        return 0.0 * z if first and int(self._seed) in self.seeds else z
+        return z * keep.reshape(keep.shape + (1,) * (z.ndim - keep.ndim))
 
 
 @pytest.mark.parametrize("case", EQ_NON_GAUSSIAN)
