@@ -34,8 +34,8 @@ stream may change between releases:
   ``N, N-1, ..., N-K+1`` whose square roots form the real diagonal.  The
   lower-triangular ``L`` has ``L L^H`` complex Wishart(N, I_K), the law of
   ``Z Z^H`` for a K x N matrix ``Z`` of unit complex normals (Dumitriu &
-  Edelman 2002).  The simulator draws it from ``trial_seed XOR
-  WISHART_TAG`` (see :mod:`eigendetect.simulate`).
+  Edelman 2002).  The simulator draws one of size K + P (P sources) from
+  ``trial_seed XOR WISHART_TAG`` (see :mod:`eigendetect.simulate`).
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and

@@ -16,10 +16,9 @@ stream itself):
   ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
   ``seed XOR mix(p)``;
 * the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
-  Bartlett factor ``L`` of Wishart(N, I_K) (K(K+1)/2 draws instead of K N)
-  for Gaussian sources or none; for other sources it draws the signal matrix
-  ``S`` as ``"direct"`` does, then from that stream a K x P block ``V_1`` of
-  unit complex normals followed by ``L`` of Wishart(N - P, I_K);
+  Bartlett factor ``L`` of Wishart(N, I_{K+P}) (P = 0 under H0), and for
+  non-Gaussian sources the unit-power signal matrix ``Z`` from
+  ``trial_seed XOR SIGNAL_TAG``;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: each draw above is made once for the chunk's whole
@@ -28,13 +27,13 @@ Gram matrices are factored and solved as one stack.  Row t of a chunk is
 bit for bit trial t's own draw, so the chunk size changes no output; a
 chunk whose eigensolve fails is redone one trial at a time.
 
-With Gaussian sources (or none) the columns of Y are i.i.d. CN(0, R),
-R = H Sigma H^H + sigma_v2 I, so Y Y^H has the law of C L L^H C^H with
-C C^H = R: the ``"wishart"`` sampler takes the eigenvalues of
-(C L)(C L)^H / N and never forms Y.  With other sources S S^H = R^H R
-(R is P x P, from the QR of S^H), and a unitary rotation of the samples whose
-first P columns span the rows of S leaves the noise white, so Y Y^H = B B^H
-with B = [H R^H + sigma_v V_1, sigma_v L]; this needs K <= N - P.  Wishart is
+With S = Sigma^(1/2) Z, Y / sigma_v = W X for W = [H Sigma^(1/2) / sigma_v, I_K]
+and X = [Z; V / sigma_v].  Gaussian X is white of dimension K + P, so X X^H
+has the law of L L^H, and the ``"wishart"`` sampler takes the eigenvalues of
+sigma_v2 (W L)(W L)^H / N without forming Y.  For other sources Z = R^H Q^H
+(R is P x P, from the QR of Z^H); a unitary rotation of the samples whose
+first P columns are Q leaves V white, so the same holds with L's leading
+P x P block replaced by R^H.  This needs K <= N - P.  Wishart is
 the default wherever it applies; ``"direct"`` alone reproduces a seeded
 result recorded before the Wishart sampler covered the batch.
 
@@ -91,6 +90,11 @@ _SRRC_SPAN = 10    # pulse truncation, in symbols
 def trial_seed(seed: int, index: int) -> int:
     """Per-trial seed: batch seed XOR a hash of the trial index."""
     return (int(seed) ^ mix(index)) & (2 ** 64 - 1)
+
+
+def _check_seed(seed, caller: str) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise DomainError(f"{caller}: seed must be an integer in [0, 2^64)")
 
 
 def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
@@ -197,6 +201,7 @@ def scenario_from_component_snrs(
     then rescaled so sigma_p^2 ||h_p||^2 / (K sigma_v2) equals
     component_snrs[p] (unit source powers).
     """
+    _check_seed(seed, "scenario_from_component_snrs")
     snrs = np.asarray(component_snrs, dtype=float).reshape(-1)
     if not (np.all((snrs > 0.0) & (snrs < math.inf)) and 0.0 < sigma_v2 < math.inf):
         raise DomainError("scenario_from_component_snrs: SNRs and sigma_v2 must be "
@@ -243,15 +248,16 @@ def run_trials(
     redraw_channel: bool = False,
     sampler: str | None = None,
 ) -> TrialBatch:
-    """Run seeded MC trials of the ratio detector; bit-reproducible per seed.
+    """Run seeded MC trials of the ratio detector; bit-reproducible per seed in [0, 2^64).
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
     scenario supplied, its own noise variance is used.  ``sampler`` is
-    ``"direct"`` or ``"wishart"`` (for non-Gaussian sources it needs
-    K <= N - P); ``None`` picks ``"wishart"`` whenever it applies.
+    ``"direct"`` or ``"wishart"`` (with a scenario it needs K <= N - P);
+    ``None`` picks ``"wishart"`` whenever it applies.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise DomainError("run_trials: trials must be an integer >= 1")
+    _check_seed(seed, "run_trials")
     if scenario is not None:
         if scenario.K != design.K:
             raise DomainError("run_trials: design and scenario disagree on K")
@@ -260,15 +266,14 @@ def run_trials(
         sigma_v2 = scenario.sigma_v2
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("run_trials: sigma_v2 must be positive and finite")
-    gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
-    bartlett_fits = gaussian or design.K <= design.N - design.P
+    bartlett_fits = scenario is None or design.K <= design.N - design.P
     if sampler is None:
         sampler = "wishart" if bartlett_fits else "direct"
     if sampler not in SAMPLERS:
         raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     if sampler == "wishart" and not bartlett_fits:
-        raise DomainError("run_trials: the wishart sampler needs K <= N - P for "
-                          f"{scenario.modulation.value} sources; use the direct sampler")
+        raise DomainError("run_trials: the wishart sampler needs K <= N - P; "
+                          "use the direct sampler")
     draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
     K, N, P = design.K, design.N, design.P
     entries = (K + P) * N if sampler == "direct" else K * (K + P) + P * N  # per trial
@@ -320,7 +325,7 @@ def run_trials(
 
 def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     """``draw(trial_seeds) -> (lambda_min, lambda_max)``, one entry per trial seed."""
-    K, N = design.K, design.N
+    K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
         base_norms = np.sqrt(np.sum(np.abs(H) ** 2, axis=0))
@@ -343,29 +348,23 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
 
         return draw
 
-    def whitener(H):
-        """C with C C^H = R / sigma_v2 = I + H Sigma H^H / sigma_v2."""
-        weighted = H * (sigma2 / sigma_v2)
-        return np.linalg.cholesky(np.eye(K) + weighted @ H.conj().swapaxes(-1, -2))
+    def mixing(H):
+        """W = [H Sigma^(1/2) / sigma_v, I_K], so that Y / sigma_v = W [Z; V / sigma_v]."""
+        eye = np.broadcast_to(np.eye(K), H.shape[:-1] + (K,))
+        return np.concatenate([H * np.sqrt(sigma2 / sigma_v2), eye], axis=-1)
 
-    gaussian = scenario is None or scenario.modulation is Modulation.GAUSSIAN
-    fixed = whitener(H) if gaussian and scenario is not None and not redraw_channel else None
+    fixed = mixing(H) if scenario is not None and not redraw_channel else None
     scale = sigma_v2 / N
 
     def draw(seeds):
-        stream = SeededStream(seeds ^ WISHART_TAG)
-        if gaussian:
-            M = stream.wishart_factor(K, N)
-            if scenario is not None:
-                M = (whitener(channel(seeds)) if redraw_channel else fixed) @ M
-        else:
-            # M = B / sigma_v; QR, unlike a Cholesky of S S^H, also factors the
-            # rank-deficient S that discrete symbols can give at small N
-            S = gen_signal(P, N, scenario.modulation, sigma2, seeds ^ SIGNAL_TAG)
-            R = np.linalg.qr(S.conj().swapaxes(-1, -2), mode="r")
-            A = channel(seeds) @ (R.conj().swapaxes(-1, -2) / math.sqrt(sigma_v2))
-            A += stream.standard_complex_normal((K, P))
-            M = np.concatenate([A, stream.wishart_factor(K, N - P)], axis=-1)
+        M = SeededStream(seeds ^ WISHART_TAG).wishart_factor(K + P, N)
+        if scenario is not None:
+            if scenario.modulation is not Modulation.GAUSSIAN:
+                # Z = R^H Q^H: QR also factors the rank-deficient Z of discrete symbols
+                Z = gen_signal(P, N, scenario.modulation, np.ones(P), seeds ^ SIGNAL_TAG)
+                M[..., :P, :P] = np.linalg.qr(Z.conj().swapaxes(-1, -2),
+                                              mode="r").conj().swapaxes(-1, -2)
+            M = (mixing(channel(seeds)) if redraw_channel else fixed) @ M
         w = np.linalg.eigvalsh(M @ M.conj().swapaxes(-1, -2))
         return w[:, 0] * scale, w[:, -1] * scale
 

@@ -266,18 +266,18 @@ def test_simulate_modulation_needs_a_signal(capsys):
 
 
 def test_simulate_wishart_sampler_needs_k_at_most_n_minus_p(tmp_path, capsys):
-    # two QPSK sources at K=9, N=10: the Bartlett factor of N - P = 8 would need shape 0
-    doc = {"K": 9, "N": 10, "sigma_v2": 1.0, "modulation": "qpsk", "Sigma": [4.0, 2.0],
-           "H": [[[1, 0], [0, (-1) ** k]] for k in range(9)]}
-    (tmp_path / "two.json").write_text(json.dumps(doc))
-    scenario = str(tmp_path / "two.json")
-    rc, out, err = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200",
-                           "--sampler", "wishart")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: ") and "needs K <= N - P" in err
-    rc, out, _ = run_cli(capsys, "simulate", "--scenario", scenario, "--trials", "200")
-    assert rc == 0 and out == run_cli(capsys, "simulate", "--scenario", scenario, "--trials",
-                                      "200", "--sampler", "direct")[1]
+    # two sources at K=9, N=10: the Bartlett factor of K + P = 11 would need shape 0
+    for modulation in ("qpsk", "gaussian"):
+        doc = {"K": 9, "N": 10, "sigma_v2": 1.0, "modulation": modulation, "Sigma": [4.0, 2.0],
+               "H": [[[1, 0], [0, (-1) ** k]] for k in range(9)]}
+        scenario = tmp_path / f"{modulation}.json"
+        scenario.write_text(json.dumps(doc))
+        args = ("simulate", "--scenario", str(scenario), "--trials", "200")
+        rc, out, err = run_cli(capsys, *args, "--sampler", "wishart")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "needs K <= N - P" in err
+        rc, out, _ = run_cli(capsys, *args)
+        assert rc == 0 and out == run_cli(capsys, *args, "--sampler", "direct")[1]
 
 
 def test_simulate_checks_the_law_before_any_trial(monkeypatch, capsys):
@@ -347,6 +347,10 @@ def test_io_failure_exit_code(capsys):
          "0.001:0.5:10000000000000log"),
         ("simulate", "--k", "20", "--n", "400", "--trials", "10000000000000"),
         ("simulate", "--k", "5", "--n", "50", "--trials", "100", "--modulation", "bogus"),
+        # seeds outside 64 bits would wrap onto another seed's trials
+        ("simulate", "--k", "4", "--n", "40", "--trials", "200", "--snr", "0dB",
+         "--seed", "18446744073709551616"),
+        ("simulate", "--k", "4", "--n", "40", "--trials", "200", "--seed", "-1"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

@@ -19,6 +19,7 @@ from eigendetect import simulate
 from eigendetect.errors import DomainError, NumericError
 from eigendetect.rng import SeededStream
 from eigendetect.simulate import (
+    CHANNEL_TAG,
     NOISE_TAG,
     SAMPLERS,
     SIGNAL_TAG,
@@ -360,21 +361,21 @@ BATCH_PINS = {
     "h0": ((1, 239, 240, 241, 483),
         "4dcc1789015961687303910b1667c9f19ec653bc08993089ff92cbc668057ba4"),
     "p1_fixed": ((1, 239, 240, 241, 483),
-        "36e1622acf0f1f73f5b8164aea796064f0bbc4f3195a8af9724795e02021f1c8"),
+        "6e7a0a114f9e0b687e6fdddf7cfa196d6e9acc62c1e732636176d475029a1750"),
     "p2_fixed": ((1, 156, 157, 158, 317),
-        "61043c65edf61a6fef751c826e375516de63806b8a3db4ac02202c0449812d67"),
+        "bc89892f9c62cf738084b16bfd75fed6ff1f4bd12bce724ff9c256dff86789e0"),
     "p2_redraw": ((1, 156, 157, 158, 317),
-        "0fbcb13a906719e72d5436fb48c46e2d83c7cfb661b955c2e100526701778823"),
+        "24670c7168a25f3cc544914711e5559eccb04c6cc70502a770006a4aeb3f93c8"),
     "qpsk/p1_fixed": ((1, 239, 240, 241, 483),
-        "68cc82375d9e39974cede7b561c7da49f9e9c110e1a6c2d5afe3b91dff4d735c"),
+        "d5a5fb44a1972810cd3bfae23f014228de58f5dda954268ebd2ceda13559407f"),
     "qpsk_srrc/p1_fixed": ((1, 239, 240, 241, 483),
-        "d809340277c4ecd5a7f95a57698c16808f5939a6d68aca060ede541d3ef300c3"),
+        "12566c7737a372668693e40b00a749239d7337aba0e4ec601d9470c735393840"),
     "psk_noncoherent/p1_fixed": ((1, 239, 240, 241, 483),
-        "4cc2b0d8df504e0f5859734d9ca07da6eddb227717679bb6dbcb2394e57ecfd4"),
+        "18af11f859621db7deeecde86de10f3d0475c8be9658335137efeba93b93345f"),
     "uniform_complex/p1_fixed": ((1, 239, 240, 241, 483),
-        "e629570cd0ec44c842c37856197de4ca3e4350cba57bec0fcfc32eea2d1bea44"),
+        "6f0c75f3ab4bf0e7e1a4306edc7c301bc248b9437a3e622e47d97f5d59222053"),
     "qpsk/p2_redraw": ((1, 156, 157, 158, 317),
-        "57ccc2ed9856202858777dfea5e09c8ffaccb56c1e55affbbfe1ae636711be40"),
+        "847b7fe3d7b5020b2246a20dbcff0ecbeca7b968f5086d42340056b770032ace"),
     "h0@direct": ((1, 55, 56, 57, 115),
         "09919133e9c7da1e6436d968cd0dce537b0346f70c3d9649901ca1790f28a148"),
     "qpsk/p2_redraw@direct": ((1, 50, 51, 52, 105),
@@ -441,6 +442,24 @@ def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sample
     assert run_trials(d, None, trials=np.int64(3), seed=1, sampler=sampler).trials == 3
 
 
+def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("a stream was drawn for a bad seed")
+
+    monkeypatch.setattr(simulate, "SeededStream", no_draw)
+    d = DetectorDesign(8, 64, 1)
+    # -1 and 2^64 used to wrap onto the trials of 2^64 - 1 and 0
+    for seed in (-1, 2 ** 64, 1.0, True, "3", None):
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            run_trials(d, None, trials=3, seed=seed)
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            scenario_from_component_snrs(8, [0.5], seed=seed)
+    monkeypatch.undo()
+    top = run_trials(d, None, trials=3, seed=np.uint64(2 ** 64 - 1))
+    assert top.seed == 2 ** 64 - 1
+    assert np.array_equal(top.t_stat, run_trials(d, None, trials=3, seed=2 ** 64 - 1).t_stat)
+
+
 # --- samplers ----------------------------------------------------------------------
 #
 # The two samplers must give the same law.  The constants below are fixed, not
@@ -458,10 +477,6 @@ EQ_ALPHA = 1e-3
 EQ_MODULATIONS = ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex")
 EQ_NON_GAUSSIAN = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p2_redraw"))
 EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
-# real off-diagonal entries keep every second moment, and at this geometry the
-# non-Gaussian cases reject them only at p = 5e-5 to 3e-2; the dropped-V_1
-# control below is theirs
-EQ_REAL_OFF_DIAGONAL_CASES = EQ_CASES[:4]
 
 
 def _eq_case(case, K_N=EQ_DESIGN_KN):
@@ -521,49 +536,54 @@ def _real_off_diagonal(self, K, N):
     return _factor(below, self.standard_gamma(N - np.arange(K)))
 
 
+# real off-diagonal entries keep every second moment, and at this geometry only the
+# noise-only case rejects them (p = 2.4e-6; the signal-present cases give 5e-4 to
+# 0.02); the contract rebuild below catches them in every case
 @pytest.mark.parametrize("wrong, case",
                          [(_wrong_diagonal, case) for case in EQ_CASES]
-                         + [(_real_off_diagonal, case) for case in EQ_REAL_OFF_DIAGONAL_CASES])
+                         + [(_real_off_diagonal, "h0")])
 def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, wrong, case):
     monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
 
-class _NoV1Stream(SeededStream):
-    """Control: each wishart trial stream's first draw, the K x P block V_1, comes back zero."""
+def _dropped_noise_block(P):
+    """Control: Bartlett factors of K + P with the K x P noise block below the sources zeroed."""
+    factor = SeededStream.wishart_factor
 
-    seeds = np.array([trial_seed(EQ_SEEDS["wishart"], i) ^ WISHART_TAG for i in range(EQ_TRIALS)],
-                     dtype=np.uint64)
+    def dropped(self, K, N):
+        L = factor(self, K, N)
+        L[..., P:, :P] = 0.0
+        return L
 
-    def standard_complex_normal(self, shape):
-        keep = np.where((self._cursor == 0) & np.isin(self._seed, self.seeds), 0.0, 1.0)
-        z = super().standard_complex_normal(shape)
-        return z * keep.reshape(keep.shape + (1,) * (z.ndim - keep.ndim))
+    return dropped
 
 
-@pytest.mark.parametrize("case", EQ_NON_GAUSSIAN)
+@pytest.mark.parametrize("case", EQ_CASES[1:])
 def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
-    monkeypatch.setattr(simulate, "SeededStream", _NoV1Stream)
+    d, _, _ = _eq_case(case)
+    monkeypatch.setattr(SeededStream, "wishart_factor", _dropped_noise_block(d.P))
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
 
 def test_sampler_choice_follows_the_modulation():
+    # since Gaussian sources share the factor of K + P, the choice is the same for every modulation
     d = DetectorDesign(6, 40, 1)
     gauss = scenario_from_snr(6, 0.5, seed=1)
     qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
     assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
     assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
     assert run_trials(d, qpsk, trials=3, seed=1).sampler == "wishart"
-    # K > N - P: the Bartlett factor of N - P would need a shape below 1
+    # K > N - P: the Bartlett factor of K + P would need a shape below 1
     d = DetectorDesign(9, 10, 2)
-    qpsk = scenario_from_component_snrs(9, (0.5, 0.3), modulation="qpsk", seed=1)
-    assert run_trials(d, qpsk, trials=3, seed=1).sampler == "direct"
-    with pytest.raises(DomainError, match=r"K <= N - P"):
-        run_trials(d, qpsk, trials=3, seed=1, sampler="wishart")
-    gauss = scenario_from_component_snrs(9, (0.5, 0.3), seed=1)
-    assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
+    for modulation in ("qpsk", "gaussian"):
+        sc = scenario_from_component_snrs(9, (0.5, 0.3), modulation=modulation, seed=1)
+        assert run_trials(d, sc, trials=3, seed=1).sampler == "direct"
+        with pytest.raises(DomainError, match=r"K <= N - P"):
+            run_trials(d, sc, trials=3, seed=1, sampler="wishart")
+    assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
     with pytest.raises(DomainError, match="unknown sampler"):
         run_trials(d, None, trials=3, seed=1, sampler="bartlett")
 
@@ -623,6 +643,11 @@ class _RefStream:
                     out[j] = d[j] * v
         return out
 
+    def complex_normals(self, shape):
+        n = int(np.prod(shape))
+        x, y = np.array(self.normals(n)), np.array(self.normals(n))
+        return ((x + 1j * y) * np.sqrt(0.5)).reshape(shape)
+
     def wishart_factor(self, K, N):
         m = K * (K - 1) // 2
         x, y = self.normals(m), self.normals(m)
@@ -636,24 +661,58 @@ class _RefStream:
         return L
 
 
+CONTRACT_CASES = ("h0", "gaussian/fixed", "gaussian/redraw", "qpsk/fixed")
+
+
+def _batch_and_rebuild(case, trials=6, seed=33, sigma_v2=1.5):
+    """A Wishart batch at K=9, N=40 (two sources of unequal power under H1), and its
+    (lambda_min, lambda_max) rebuilt from the documented contract: the eigenvalues of
+    sigma_v2 M M^H / N with M = [H Sigma^(1/2) / sigma_v, I_K] L (L itself under H0), L the
+    Bartlett factor of Wishart(N, I_{K+P}), whose leading P x P block is R^H for the
+    unit-power Z = R^H Q^H of a non-Gaussian batch."""
+    K, N = 9, 40
+    sc, P, redraw = None, 0, False
+    if case != "h0":
+        modulation, _, channel = case.partition("/")
+        H = scenario_from_component_snrs(K, (0.3, 0.2), sigma_v2=sigma_v2, seed=5).H
+        sc, P, redraw = Scenario(H, [2.0, 0.5], sigma_v2, modulation), 2, channel == "redraw"
+    batch = run_trials(DetectorDesign(K, N, 2), sc, trials=trials, seed=seed,
+                       sigma_v2=sigma_v2, redraw_channel=redraw, sampler="wishart")
+
+    def norms(A):
+        return np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
+
+    rebuilt = []
+    for i in range(trials):
+        ts = trial_seed(seed, i)
+        M = _RefStream(ts ^ WISHART_TAG).wishart_factor(K + P, N)
+        if sc is not None:
+            if sc.modulation.value != "gaussian":
+                Z = gen_signal(P, N, sc.modulation, np.ones(P), ts ^ SIGNAL_TAG)
+                M[:P, :P] = np.linalg.qr(Z.conj().T, mode="r").conj().T
+            H = sc.H
+            if redraw:  # a fresh channel with the scenario's column norms
+                g = _RefStream(ts ^ CHANNEL_TAG).complex_normals((K, P))
+                H = g * (norms(H) / norms(g))
+            M = np.hstack([H * np.sqrt(sc.sigma2 / sigma_v2), np.eye(K)]) @ M
+        w = np.linalg.eigvalsh(M @ M.conj().T)
+        rebuilt.append((w[0] * (sigma_v2 / N), w[-1] * (sigma_v2 / N)))
+    return batch, np.array(rebuilt).T
+
+
 def test_wishart_trials_rebuild_from_the_contract():
-    K, N, sigma_v2 = 9, 40, 1.5
-    d = DetectorDesign(K, N, 1)
-    h0 = run_trials(d, None, trials=4, seed=33, sigma_v2=sigma_v2, sampler="wishart")
-    sc = scenario_from_snr(K, 0.4, sigma_v2=sigma_v2, seed=5)
-    h1 = run_trials(d, sc, trials=4, seed=33, sampler="wishart")
-    R = sc.H @ (sc.sigma2[:, None] * sc.H.conj().T) + sigma_v2 * np.eye(K)
-    C = np.linalg.cholesky(R)
-    for i in range(4):
-        ts = trial_seed(33, i) ^ WISHART_TAG
-        L = _RefStream(ts).wishart_factor(K, N)
-        assert np.array_equal(L, SeededStream(ts).wishart_factor(K, N))
-        w = np.linalg.eigvalsh(L @ L.conj().T)
-        assert (h0.lambda_min[i], h0.lambda_max[i]) == (
-            float(w[0]) * (sigma_v2 / N), float(w[-1]) * (sigma_v2 / N))
-        w = np.linalg.eigvalsh((C @ L) @ (C @ L).conj().T / N)
-        assert h1.lambda_min[i] == pytest.approx(w[0], rel=1e-12)
-        assert h1.lambda_max[i] == pytest.approx(w[-1], rel=1e-12)
+    for case in CONTRACT_CASES:
+        b, (lam_min, lam_max) = _batch_and_rebuild(case)
+        assert np.array_equal(b.lambda_min, lam_min), case
+        assert np.array_equal(b.lambda_max, lam_max), case
+
+
+@pytest.mark.parametrize("wrong", [_wrong_diagonal, _real_off_diagonal])
+def test_contract_rebuild_rejects_a_wrong_factor(monkeypatch, wrong):
+    monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
+    for case in CONTRACT_CASES:
+        b, (lam_min, lam_max) = _batch_and_rebuild(case)
+        assert not np.any((b.lambda_min == lam_min) | (b.lambda_max == lam_max)), case
 
 
 def test_gamma_rounds_consume_whole_rounds():
