@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--modulation", choices=[m.value for m in Modulation],
                    help="source modulation for --snr/--t1 (default gaussian)")
-    p.add_argument("--sampler", choices=SAMPLERS,
-                   help="trial sampler (default: wishart when K <= N - P, else direct)")
+    p.add_argument("--sampler", choices=SAMPLERS, default="wishart",
+                   help="trial sampler (default: wishart)")
     p.add_argument("--out", type=str, help="empirical-vs-analytical CDF CSV")
     p.add_argument("--dump", type=str, help="per-trial batch CSV")
     p.set_defaults(func=cmd_simulate)

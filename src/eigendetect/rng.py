@@ -28,14 +28,16 @@ stream may change between releases:
   ``log(u) < 0.5 * x * x + d_j - d_j * v + d_j * log(v)`` (evaluated left
   to right); it keeps ``d_j v`` from its first accepting round.  Rounds
   stop once every entry has accepted.
-* Wishart factors (Bartlett).  For ``K < N``: ``K(K-1)/2`` complex normals
-  placed in C order at the strictly lower positions
-  (``numpy.tril_indices(K, -1)``), then ``K`` gammas of shapes
-  ``N, N-1, ..., N-K+1`` whose square roots form the real diagonal.  The
-  lower-triangular ``L`` has ``L L^H`` complex Wishart(N, I_K), the law of
-  ``Z Z^H`` for a K x N matrix ``Z`` of unit complex normals (Dumitriu &
-  Edelman 2002).  The simulator draws one of size K + P (P sources) from
-  ``trial_seed XOR WISHART_TAG`` (see :mod:`eigendetect.simulate`).
+* Wishart factors (Bartlett).  ``L`` is K x m with ``m = min(K, N)``:
+  complex normals placed in C order at the strictly lower positions
+  (those of ``numpy.tri(K, m, -1)``; every row from N on is all strictly
+  lower), then ``m`` gammas of shapes ``N, N-1, ..., N-m+1`` whose square
+  roots form the real diagonal.  The lower-trapezoidal ``L`` has
+  ``L L^H`` complex Wishart(N, I_K), the law of ``Z Z^H`` for a K x N
+  matrix ``Z = L Q`` of unit complex normals (Dumitriu & Edelman 2002;
+  for K > N the singular Wishart, Srivastava 2003).  The simulator draws
+  one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` (see
+  :mod:`eigendetect.simulate`).
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
@@ -147,17 +149,19 @@ class SeededStream:
         return out.reshape(self._lead + a.shape)
 
     def wishart_factor(self, K: int, N: int) -> np.ndarray:
-        """Lower-triangular L with L L^H complex Wishart(N, I_K) (Bartlett)."""
-        L = np.zeros((self._seed.size, K, K), dtype=complex)
+        """Lower-trapezoidal K x min(K, N) L with L L^H complex Wishart(N, I_K) (Bartlett)."""
+        m = min(K, N)
+        L = np.zeros((self._seed.size, K, m), dtype=complex)
         flat = L.reshape(self._seed.size, -1)
-        flat[:, _strict_lower(K)] = self.standard_complex_normal(K * (K - 1) // 2)
-        flat[:, :: K + 1] = np.sqrt(self.standard_gamma(N - np.arange(K)))
-        return L.reshape(self._lead + (K, K))
+        below = _strict_lower(K, m)
+        flat[:, below] = self.standard_complex_normal(below.size)
+        flat[:, : m * m : m + 1] = np.sqrt(self.standard_gamma(N - np.arange(m)))
+        return L.reshape(self._lead + (K, m))
 
 
 @lru_cache(maxsize=16)
-def _strict_lower(K: int) -> np.ndarray:
-    """Flat C-order positions of ``numpy.tril_indices(K, -1)`` (read-only, shared)."""
-    positions = np.flatnonzero(np.tri(K, k=-1, dtype=bool))
+def _strict_lower(K: int, m: int) -> np.ndarray:
+    """Flat C-order positions of ``numpy.tri(K, m, -1)`` (read-only, shared)."""
+    positions = np.flatnonzero(np.tri(K, m, -1, dtype=bool))
     positions.setflags(write=False)
     return positions

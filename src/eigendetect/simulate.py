@@ -33,9 +33,9 @@ has the law of L L^H, and the ``"wishart"`` sampler takes the eigenvalues of
 sigma_v2 (W L)(W L)^H / N without forming Y.  For other sources Z = R^H Q^H
 (R is P x P, from the QR of Z^H); a unitary rotation of the samples whose
 first P columns are Q leaves V white, so the same holds with L's leading
-P x P block replaced by R^H.  This needs K <= N - P.  Wishart is
-the default wherever it applies; ``"direct"`` alone reproduces a seeded
-result recorded before the Wishart sampler covered the batch.
+P x P block replaced by R^H (for K + P > N, L is (K + P) x N, lower-trapezoidal).
+Wishart is the default; ``"direct"`` alone reproduces a seeded result
+recorded before the Wishart sampler covered the batch.
 
 The channel is held fixed across the trials of a batch (one coherent
 sensing epoch); ``redraw_channel=True`` redraws it per trial with the
@@ -93,6 +93,8 @@ def trial_seed(seed: int, index: int) -> int:
 
 
 def _check_seed(seed, caller: str) -> None:
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+        return  # a chunk's trial seeds
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
         raise DomainError(f"{caller}: seed must be an integer in [0, 2^64)")
 
@@ -101,6 +103,7 @@ def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
     """K x N circularly symmetric complex Gaussian noise, E|v|^2 = sigma_v2 (per seed)."""
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("gen_noise: sigma_v2 must be positive and finite")
+    _check_seed(seed, "gen_noise")
     z = SeededStream(seed).standard_complex_normal((K, N))
     return math.sqrt(sigma_v2) * z
 
@@ -169,6 +172,7 @@ def gen_signal(P: int, N: int, modulation, sigma2, seed) -> np.ndarray:
         raise DomainError("gen_signal: sigma2 must hold one power per source")
     if not np.all((sigma2 > 0.0) & (sigma2 < math.inf)):
         raise DomainError("gen_signal: source powers must be positive and finite")
+    _check_seed(seed, "gen_signal")
     seed = int(seed) if np.ndim(seed) == 0 else seed
     out = np.empty(np.shape(seed) + (P, N), dtype=complex)
     for p in range(P):
@@ -246,14 +250,13 @@ def run_trials(
     seed: int = 0,
     sigma_v2: float = 1.0,
     redraw_channel: bool = False,
-    sampler: str | None = None,
+    sampler: str = "wishart",
 ) -> TrialBatch:
     """Run seeded MC trials of the ratio detector; bit-reproducible per seed in [0, 2^64).
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
     scenario supplied, its own noise variance is used.  ``sampler`` is
-    ``"direct"`` or ``"wishart"`` (with a scenario it needs K <= N - P);
-    ``None`` picks ``"wishart"`` whenever it applies.
+    ``"wishart"`` or ``"direct"``.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise DomainError("run_trials: trials must be an integer >= 1")
@@ -266,14 +269,8 @@ def run_trials(
         sigma_v2 = scenario.sigma_v2
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("run_trials: sigma_v2 must be positive and finite")
-    bartlett_fits = scenario is None or design.K <= design.N - design.P
-    if sampler is None:
-        sampler = "wishart" if bartlett_fits else "direct"
     if sampler not in SAMPLERS:
         raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
-    if sampler == "wishart" and not bartlett_fits:
-        raise DomainError("run_trials: the wishart sampler needs K <= N - P; "
-                          "use the direct sampler")
     draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
     K, N, P = design.K, design.N, design.P
     entries = (K + P) * N if sampler == "direct" else K * (K + P) + P * N  # per trial

@@ -91,19 +91,41 @@ def airy_ai_prime(u: float) -> float:
 
 @dataclass(frozen=True)
 class TracyWidomTable:
-    """Precomputed Tracy-Widom (order 2) CDF/PDF on a fixed grid.
+    """Tracy-Widom (order 2) CDF/PDF on a fixed grid, derived from the solve's ``columns``.
 
     Immutable after construction; evaluation methods are pure and safe
     to share across threads.
     """
 
-    grid: np.ndarray
     columns: np.ndarray  # rows log F, int_x^inf q^2, q^2 on grid: the tw2_table.npy data
-    cdf_values: np.ndarray
-    pdf_values: np.ndarray
+    grid: np.ndarray = field(init=False)
+    cdf_values: np.ndarray = field(init=False)
+    pdf_values: np.ndarray = field(init=False)
     # Hermite coefficients c0..c3 of log F and log f per grid interval
-    _log_cdf: np.ndarray = field(repr=False, compare=False)
-    _log_pdf: np.ndarray = field(repr=False, compare=False)
+    _log_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_pdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        grid = np.linspace(_X_LEFT, _X_RIGHT, _N_POINTS)
+        log_cdf, int_q2, q2 = self.columns
+        log_pdf = log_cdf + np.log(int_q2)
+        cdf_values, pdf_values = np.exp(log_cdf), np.exp(log_pdf)
+        if not np.all(np.diff(cdf_values) > 0.0):
+            raise NumericError("Tracy-Widom table: CDF not strictly increasing")
+        if cdf_values[-1] > 1.0:
+            raise NumericError("Tracy-Widom table: CDF above 1")
+        mass = float(np.trapezoid(pdf_values, grid))
+        if abs(mass - 1.0) > 1e-4:
+            raise NumericError(f"Tracy-Widom table: PDF mass {mass!r} outside 1 +/- 1e-4")
+        if cdf_values[0] > 1e-8 or cdf_values[-1] < 1.0 - 1e-8:
+            raise NumericError("Tracy-Widom table: tails not resolved to 1e-8")
+        for arr in (grid, self.columns, cdf_values, pdf_values):
+            arr.setflags(write=False)
+        derived = dict(grid=grid, cdf_values=cdf_values, pdf_values=pdf_values,
+                       _log_cdf=_hermite(log_cdf, int_q2),
+                       _log_pdf=_hermite(log_pdf, int_q2 - q2 / int_q2))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -216,20 +238,7 @@ def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:
     int_q2 = sol.y[2][::-1] + tail_q2          # int_x^inf q^2
     int_uq2 = sol.y[3][::-1] + tail_uq2        # int_x^inf u q^2
     log_cdf = -(int_uq2 - grid * int_q2)
-    return _table(np.array([log_cdf, int_q2, sol.y[0][::-1] ** 2]))
-
-
-def _table(columns) -> TracyWidomTable:
-    """The table of the rows log F, int q^2, q^2 on the module's grid."""
-    grid = np.linspace(_X_LEFT, _X_RIGHT, _N_POINTS)
-    log_cdf, int_q2, q2 = columns
-    log_pdf = log_cdf + np.log(int_q2)
-    cdf_values, pdf_values = np.exp(log_cdf), np.exp(log_pdf)
-    _validate_table(grid, cdf_values, pdf_values)
-    for arr in (grid, columns, cdf_values, pdf_values):
-        arr.setflags(write=False)
-    return TracyWidomTable(grid, columns, cdf_values, pdf_values, _hermite(log_cdf, int_q2),
-                           _hermite(log_pdf, int_q2 - q2 / int_q2))
+    return TracyWidomTable(np.array([log_cdf, int_q2, sol.y[0][::-1] ** 2]))
 
 
 def _hermite(y, slope):
@@ -248,23 +257,11 @@ def _exp_hermite(coef, x):
     return np.exp(((c3.take(i) * t + c2.take(i)) * t + c1.take(i)) * t + c0.take(i))
 
 
-def _validate_table(grid, cdf_values, pdf_values):
-    if not np.all(np.diff(cdf_values) > 0.0):
-        raise NumericError("Tracy-Widom table: CDF not strictly increasing")
-    if cdf_values[-1] > 1.0:
-        raise NumericError("Tracy-Widom table: CDF above 1")
-    mass = float(np.trapezoid(pdf_values, grid))
-    if abs(mass - 1.0) > 1e-4:
-        raise NumericError(f"Tracy-Widom table: PDF mass {mass!r} outside 1 +/- 1e-4")
-    if cdf_values[0] > 1e-8 or cdf_values[-1] < 1.0 - 1e-8:
-        raise NumericError("Tracy-Widom table: tails not resolved to 1e-8")
-
-
 @lru_cache(maxsize=1)
 def default_table() -> TracyWidomTable:
     """Shared table, read once from the packaged solve ``tw2_table.npy``."""
     with resources.files(__package__).joinpath("tw2_table.npy").open("rb") as fh:
-        return _table(np.load(fh))
+        return TracyWidomTable(np.load(fh))
 
 
 def tw2_cdf(x):

@@ -265,8 +265,8 @@ def test_simulate_modulation_needs_a_signal(capsys):
     assert err.startswith("error: --modulation applies only with --snr or --t1")
 
 
-def test_simulate_wishart_sampler_needs_k_at_most_n_minus_p(tmp_path, capsys):
-    # two sources at K=9, N=10: the Bartlett factor of K + P = 11 would need shape 0
+def test_simulate_wishart_sampler_takes_k_above_n_minus_p(tmp_path, capsys):
+    # two sources at K=9, N=10: the Bartlett factor of K + P = 11 is 11 x 10, lower-trapezoidal
     for modulation in ("qpsk", "gaussian"):
         doc = {"K": 9, "N": 10, "sigma_v2": 1.0, "modulation": modulation, "Sigma": [4.0, 2.0],
                "H": [[[1, 0], [0, (-1) ** k]] for k in range(9)]}
@@ -274,10 +274,8 @@ def test_simulate_wishart_sampler_needs_k_at_most_n_minus_p(tmp_path, capsys):
         scenario.write_text(json.dumps(doc))
         args = ("simulate", "--scenario", str(scenario), "--trials", "200")
         rc, out, err = run_cli(capsys, *args, "--sampler", "wishart")
-        assert rc == 2 and out == ""
-        assert err.startswith("error: ") and "needs K <= N - P" in err
-        rc, out, _ = run_cli(capsys, *args)
-        assert rc == 0 and out == run_cli(capsys, *args, "--sampler", "direct")[1]
+        assert rc == 0 and out.startswith("ks ") and err == ""
+        assert run_cli(capsys, *args) == (0, out, "")
 
 
 def test_simulate_checks_the_law_before_any_trial(monkeypatch, capsys):

@@ -354,9 +354,10 @@ def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
         monkeypatch.undo()
 
 
-# sha256 over the t_stat bytes of one batch per trial count, at (8, 64) with batch seed 5 and
-# sigma_v2 1.5 (the scenario's own elsewhere), recorded when every trial was drawn and solved
-# alone.  The counts are 1, c - 1, c, c + 1 and 2c + 3 for the chunk size c of each case.
+# sha256 over the t_stat bytes of one batch per trial count, at (8, 64) (a wide/ case at
+# (9, 10)) with batch seed 5 and sigma_v2 1.5 (the scenario's own elsewhere), recorded when
+# every trial was drawn and solved alone.  The counts are 1, c - 1, c, c + 1 and 2c + 3 for
+# the chunk size c of each case.
 BATCH_PINS = {
     "h0": ((1, 239, 240, 241, 483),
         "4dcc1789015961687303910b1667c9f19ec653bc08993089ff92cbc668057ba4"),
@@ -380,13 +381,16 @@ BATCH_PINS = {
         "09919133e9c7da1e6436d968cd0dce537b0346f70c3d9649901ca1790f28a148"),
     "qpsk/p2_redraw@direct": ((1, 50, 51, 52, 105),
         "8c38c7dde8cb004c667dec194d1e0b8bccd6bb93096ed1c30ed9418b91c75490"),
+    "wide/qpsk/p2_redraw": ((1, 274, 275, 276, 553),
+        "63b31931f9a6e7e650ec3763681a40749ba9531fb52dbcae378ca92fa94d1d6d"),
 }
 
 
 def _pin_case(case):
-    """(design, scenario, redraw_channel, sampler) of a BATCH_PINS key: an EQ case at (8, 64)."""
+    """(design, scenario, redraw_channel, sampler) of a BATCH_PINS key: an EQ case at (8, 64)
+    (or at EQ_WIDE_KN for a wide/ case)."""
     case, _, sampler = case.partition("@")
-    return (*_eq_case(case, (8, 64)), sampler or None)
+    return (*_eq_case(case, (8, 64)), sampler or "wishart")
 
 
 @pytest.mark.parametrize("case", BATCH_PINS)
@@ -406,7 +410,7 @@ def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", ["h0", "qpsk_srrc/p1_fixed", "qpsk/p2_redraw",
-                                  "qpsk/p2_redraw@direct"])
+                                  "qpsk/p2_redraw@direct", "wide/qpsk/p2_redraw"])
 def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
     d, sc, redraw, sampler = _pin_case(case)
     counts, _ = BATCH_PINS[case]
@@ -449,15 +453,22 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
     monkeypatch.setattr(simulate, "SeededStream", no_draw)
     d = DetectorDesign(8, 64, 1)
     # -1 and 2^64 used to wrap onto the trials of 2^64 - 1 and 0
-    for seed in (-1, 2 ** 64, 1.0, True, "3", None):
+    seeded = (lambda seed: run_trials(d, None, trials=3, seed=seed),
+              lambda seed: scenario_from_component_snrs(8, [0.5], seed=seed),
+              lambda seed: gen_noise(4, 8, 1.0, seed),
+              lambda seed: gen_signal(1, 8, "qpsk", [1.0], seed))
+    for seed, call in itertools.product((-1, 2 ** 64, 1.0, True, "3", None), seeded):
         with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
-            run_trials(d, None, trials=3, seed=seed)
-        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
-            scenario_from_component_snrs(8, [0.5], seed=seed)
+            call(seed)
     monkeypatch.undo()
     top = run_trials(d, None, trials=3, seed=np.uint64(2 ** 64 - 1))
     assert top.seed == 2 ** 64 - 1
     assert np.array_equal(top.t_stat, run_trials(d, None, trials=3, seed=2 ** 64 - 1).t_stat)
+    # a chunk's uint64 trial seeds draw row by row
+    chunk = np.array([0, 2 ** 64 - 1], dtype=np.uint64)
+    assert np.array_equal(gen_noise(4, 8, 1.0, chunk)[1], gen_noise(4, 8, 1.0, 2 ** 64 - 1))
+    assert np.array_equal(gen_signal(1, 8, "qpsk", [1.0], chunk)[0],
+                          gen_signal(1, 8, "qpsk", [1.0], 0))
 
 
 # --- samplers ----------------------------------------------------------------------
@@ -468,19 +479,23 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
 # is independent across the two), scenario channels on seed 7, and a two-sample KS
 # test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.  Each
 # non-Gaussian modulation has a one-source case with a fixed channel and a
-# two-source case with a redrawn channel.
+# two-source case with a redrawn channel.  Two "wide/" cases run at (K=9, N=10),
+# declared with the rest, where K + P > N and the Bartlett factor is trapezoidal.
 
 EQ_DESIGN_KN = (10, 100)
+EQ_WIDE_KN = (9, 10)  # the geometry of a "wide/" case: two sources, K + P > N
 EQ_TRIALS = 2000
 EQ_SEEDS = {"direct": 101, "wishart": 202}
 EQ_ALPHA = 1e-3
 EQ_MODULATIONS = ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex")
 EQ_NON_GAUSSIAN = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p2_redraw"))
 EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
+EQ_WIDE_CASES = ("wide/p2_fixed", "wide/qpsk/p2_redraw")
 
 
 def _eq_case(case, K_N=EQ_DESIGN_KN):
-    K, N = K_N
+    _, wide, case = case.rpartition("wide/")
+    K, N = EQ_WIDE_KN if wide else K_N
     modulation, _, case = case.rpartition("/")
     modulation = modulation or "gaussian"
     if case == "h0":
@@ -508,39 +523,45 @@ def _eq_pvalues(case):
             for name in ("t_stat", "lambda_max", "lambda_min")}
 
 
-@pytest.mark.parametrize("case", EQ_CASES)
+@pytest.mark.parametrize("case", EQ_CASES + EQ_WIDE_CASES)
 def test_samplers_draw_the_same_law(case):
     p = _eq_pvalues(case)
     assert min(p.values()) >= EQ_ALPHA, p
 
 
-def _factor(below, gammas):
-    """Lower-triangular factors (one per stream row) from strict-lower entries and gammas."""
-    K = gammas.shape[-1]
-    L = np.zeros(gammas.shape + (K,), dtype=complex)
-    i, j = np.tril_indices(K, -1)
-    L[..., i, j] = below
-    L[..., np.arange(K), np.arange(K)] = np.sqrt(gammas)
+def _strict_lower(K, N):
+    """Row and column indices of the strictly lower cells of a K x min(K, N) factor."""
+    return np.nonzero(np.tri(K, min(K, N), -1, dtype=bool))
+
+
+def _factor(K, N, below, gammas):
+    """Lower-trapezoidal factors (one per stream row) from strict-lower entries and gammas."""
+    m = min(K, N)
+    L = np.zeros(gammas.shape[:-1] + (K, m), dtype=complex)
+    L[(..., *_strict_lower(K, N))] = below
+    L[..., np.arange(m), np.arange(m)] = np.sqrt(gammas)
     return L
 
 
 def _wrong_diagonal(self, K, N):
-    # Gamma shapes two below Bartlett's N - i
-    below = self.standard_complex_normal(K * (K - 1) // 2)
-    return _factor(below, self.standard_gamma(N - np.arange(K) - 2))
+    # Gamma shapes two below Bartlett's N - i, held at 1 where that falls below it
+    below = self.standard_complex_normal(_strict_lower(K, N)[0].size)
+    shapes = np.maximum(N - np.arange(min(K, N)) - 2, 1)
+    return _factor(K, N, below, self.standard_gamma(shapes))
 
 
 def _real_off_diagonal(self, K, N):
     # unit-variance real entries below the diagonal instead of complex ones
-    below = self.standard_normal(K * (K - 1) // 2)
-    return _factor(below, self.standard_gamma(N - np.arange(K)))
+    below = self.standard_normal(_strict_lower(K, N)[0].size)
+    return _factor(K, N, below, self.standard_gamma(N - np.arange(min(K, N))))
 
 
 # real off-diagonal entries keep every second moment, and at this geometry only the
 # noise-only case rejects them (p = 2.4e-6; the signal-present cases give 5e-4 to
-# 0.02); the contract rebuild below catches them in every case
+# 0.02, the wide/ ones 2.1e-3 and 0.088); the contract rebuild below catches them in
+# every case
 @pytest.mark.parametrize("wrong, case",
-                         [(_wrong_diagonal, case) for case in EQ_CASES]
+                         [(_wrong_diagonal, case) for case in EQ_CASES + EQ_WIDE_CASES]
                          + [(_real_off_diagonal, "h0")])
 def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, wrong, case):
     monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
@@ -560,7 +581,7 @@ def _dropped_noise_block(P):
     return dropped
 
 
-@pytest.mark.parametrize("case", EQ_CASES[1:])
+@pytest.mark.parametrize("case", EQ_CASES[1:] + EQ_WIDE_CASES)
 def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
     d, _, _ = _eq_case(case)
     monkeypatch.setattr(SeededStream, "wishart_factor", _dropped_noise_block(d.P))
@@ -569,20 +590,21 @@ def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
 
 
 def test_sampler_choice_follows_the_modulation():
-    # since Gaussian sources share the factor of K + P, the choice is the same for every modulation
+    # every modulation shares the factor of K + P, so the default is wishart for all of them
     d = DetectorDesign(6, 40, 1)
     gauss = scenario_from_snr(6, 0.5, seed=1)
     qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
     assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
     assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
     assert run_trials(d, qpsk, trials=3, seed=1).sampler == "wishart"
-    # K > N - P: the Bartlett factor of K + P would need a shape below 1
+    # K > N - P too: the Bartlett factor of K + P = 11 is 11 x 10, lower-trapezoidal
     d = DetectorDesign(9, 10, 2)
     for modulation in ("qpsk", "gaussian"):
         sc = scenario_from_component_snrs(9, (0.5, 0.3), modulation=modulation, seed=1)
-        assert run_trials(d, sc, trials=3, seed=1).sampler == "direct"
-        with pytest.raises(DomainError, match=r"K <= N - P"):
-            run_trials(d, sc, trials=3, seed=1, sampler="wishart")
+        b = run_trials(d, sc, trials=3, seed=1)
+        assert b.sampler == "wishart"
+        assert np.array_equal(b.t_stat, run_trials(d, sc, trials=3, seed=1,
+                                                   sampler="wishart").t_stat)
     assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
     with pytest.raises(DomainError, match="unknown sampler"):
         run_trials(d, None, trials=3, seed=1, sampler="bartlett")
@@ -649,28 +671,30 @@ class _RefStream:
         return ((x + 1j * y) * np.sqrt(0.5)).reshape(shape)
 
     def wishart_factor(self, K, N):
-        m = K * (K - 1) // 2
-        x, y = self.normals(m), self.normals(m)
+        m = min(K, N)
+        cells = [(i, j) for i in range(K) for j in range(min(i, m))]
+        x, y = self.normals(len(cells)), self.normals(len(cells))
         s = np.sqrt(0.5)
-        L = np.zeros((K, K), dtype=complex)
-        cells = [(i, j) for i in range(K) for j in range(i)]
+        L = np.zeros((K, m), dtype=complex)
         for (i, j), re, im in zip(cells, x, y):
             L[i, j] = complex(re * s, im * s)
-        for i, g in enumerate(self.gammas([N - i for i in range(K)])):
+        for i, g in enumerate(self.gammas([N - i for i in range(m)])):
             L[i, i] = np.sqrt(g)
         return L
 
 
-CONTRACT_CASES = ("h0", "gaussian/fixed", "gaussian/redraw", "qpsk/fixed")
+# (case, N); at N = 10, K + P = 11 > N and L is 11 x 10, lower-trapezoidal
+CONTRACT_CASES = (("h0", 40), ("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
+                  ("gaussian/fixed", 10), ("qpsk/redraw", 10))
 
 
-def _batch_and_rebuild(case, trials=6, seed=33, sigma_v2=1.5):
-    """A Wishart batch at K=9, N=40 (two sources of unequal power under H1), and its
+def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
+    """A Wishart batch at K=9 (two sources of unequal power under H1), and its
     (lambda_min, lambda_max) rebuilt from the documented contract: the eigenvalues of
     sigma_v2 M M^H / N with M = [H Sigma^(1/2) / sigma_v, I_K] L (L itself under H0), L the
     Bartlett factor of Wishart(N, I_{K+P}), whose leading P x P block is R^H for the
     unit-power Z = R^H Q^H of a non-Gaussian batch."""
-    K, N = 9, 40
+    K = 9
     sc, P, redraw = None, 0, False
     if case != "h0":
         modulation, _, channel = case.partition("/")
@@ -701,18 +725,18 @@ def _batch_and_rebuild(case, trials=6, seed=33, sigma_v2=1.5):
 
 
 def test_wishart_trials_rebuild_from_the_contract():
-    for case in CONTRACT_CASES:
-        b, (lam_min, lam_max) = _batch_and_rebuild(case)
-        assert np.array_equal(b.lambda_min, lam_min), case
-        assert np.array_equal(b.lambda_max, lam_max), case
+    for case, N in CONTRACT_CASES:
+        b, (lam_min, lam_max) = _batch_and_rebuild(case, N)
+        assert np.array_equal(b.lambda_min, lam_min), (case, N)
+        assert np.array_equal(b.lambda_max, lam_max), (case, N)
 
 
 @pytest.mark.parametrize("wrong", [_wrong_diagonal, _real_off_diagonal])
 def test_contract_rebuild_rejects_a_wrong_factor(monkeypatch, wrong):
     monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
-    for case in CONTRACT_CASES:
-        b, (lam_min, lam_max) = _batch_and_rebuild(case)
-        assert not np.any((b.lambda_min == lam_min) | (b.lambda_max == lam_max)), case
+    for case, N in CONTRACT_CASES:
+        b, (lam_min, lam_max) = _batch_and_rebuild(case, N)
+        assert not np.any((b.lambda_min == lam_min) | (b.lambda_max == lam_max)), (case, N)
 
 
 def test_gamma_rounds_consume_whole_rounds():
