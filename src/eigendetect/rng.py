@@ -38,6 +38,15 @@ stream may change between releases:
   for K > N the singular Wishart, Srivastava 2003).  The simulator draws
   one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` (see
   :mod:`eigendetect.simulate`).
+* Wishart bidiagonals (K < N).  One gamma draw of the 2K - 1 shapes
+  ``N, N-1, ..., N-K+1, K-1, K-2, ..., 1``: the squared diagonal
+  ``x_0^2 .. x_{K-1}^2`` then the squared sub-diagonal ``y_0^2 .. y_{K-2}^2``
+  of a real lower-bidiagonal ``B``, and ``x_0^2`` is then multiplied by the
+  spike ``t1``.  ``B B^T`` has the eigenvalues of complex
+  Wishart(N, diag(t1, 1, ..., 1)) (Dumitriu & Edelman 2002; a rank-one
+  spike scales only the first row's norm, Bloemendal & Virag 2013).  The
+  simulator draws it from ``trial_seed XOR WISHART_TAG`` for noise-only
+  (t1 = 1) and one-source Gaussian batches.
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
@@ -157,6 +166,13 @@ class SeededStream:
         flat[:, below] = self.standard_complex_normal(below.size)
         flat[:, : m * m : m + 1] = np.sqrt(self.standard_gamma(N - np.arange(m)))
         return L.reshape(self._lead + (K, m))
+
+    def wishart_bidiagonal(self, K: int, N: int, t1: float) -> np.ndarray:
+        """Squared entries ``[x_0^2..x_{K-1}^2, y_0^2..y_{K-2}^2]`` of a lower-bidiagonal B
+        whose B B^T has the eigenvalues of complex Wishart(N, diag(t1, 1, ..., 1))."""
+        g = self.standard_gamma(np.concatenate([N - np.arange(K), np.arange(K - 1, 0, -1)]))
+        g[..., 0] *= t1
+        return g
 
 
 @lru_cache(maxsize=16)

@@ -16,16 +16,18 @@ stream itself):
   ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
   ``seed XOR mix(p)``;
 * the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
-  Bartlett factor ``L`` of Wishart(N, I_{K+P}) (P = 0 under H0), and for
+  real bidiagonal ``B`` for a noise-only or one-source Gaussian batch;
+  otherwise one Bartlett factor ``L`` of Wishart(N, I_{K+P}), and for
   non-Gaussian sources the unit-power signal matrix ``Z`` from
   ``trial_seed XOR SIGNAL_TAG``;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: each draw above is made once for the chunk's whole
 array of trial seeds (see :class:`eigendetect.rng.SeededStream`), and the
-Gram matrices are factored and solved as one stack.  Row t of a chunk is
-bit for bit trial t's own draw, so the chunk size changes no output; a
-chunk whose eigensolve fails is redone one trial at a time.
+Gram matrices are factored and solved as one stack (the tridiagonals are
+bisected as one array).  Row t of a chunk is bit for bit trial t's own
+draw, so the chunk size changes no output; a chunk whose eigensolve fails
+is redone one trial at a time.
 
 With S = Sigma^(1/2) Z, Y / sigma_v = W X for W = [H Sigma^(1/2) / sigma_v, I_K]
 and X = [Z; V / sigma_v].  Gaussian X is white of dimension K + P, so X X^H
@@ -34,6 +36,12 @@ sigma_v2 (W L)(W L)^H / N without forming Y.  For other sources Z = R^H Q^H
 (R is P x P, from the QR of Z^H); a unitary rotation of the samples whose
 first P columns are Q leaves V white, so the same holds with L's leading
 P x P block replaced by R^H (for K + P > N, L is (K + P) x N, lower-trapezoidal).
+With no source, or one Gaussian source, the law depends only on the spike
+t1 = 1 + sigma^2 ||h||^2 / sigma_v^2 (a redrawn channel keeps ||h||): the
+eigenvalues of X X^H are those of B B^T with B's 2K - 1 chi entries and its
+first one scaled by sqrt(t1) (Dumitriu & Edelman 2002; Bloemendal & Virag
+2013), so these batches take lambda_min and lambda_max of the tridiagonal
+sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
 Wishart is the default; ``"direct"`` alone reproduces a seeded result
 recorded before the Wishart sampler covered the batch.
 
@@ -77,7 +85,7 @@ SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
 WISHART_TAG = 0x6A09E667F3BCC908
 _RETRY_TAG = 0x243F6A8885A308D3
-# about this many bytes of complex draws per chunk of trials
+# about this many bytes of draws per chunk of trials
 _CHUNK_BYTES = 1 << 19
 
 SAMPLERS = ("direct", "wishart")
@@ -273,8 +281,13 @@ def run_trials(
         raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
     draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
     K, N, P = design.K, design.N, design.P
-    entries = (K + P) * N if sampler == "direct" else K * (K + P) + P * N  # per trial
-    chunk = max(1, _CHUNK_BYTES // (16 * entries))
+    if sampler == "direct":
+        draw_bytes = 16 * (K + P) * N  # per trial
+    elif _tridiagonal(scenario):
+        draw_bytes = 8 * (2 * K - 1)
+    else:
+        draw_bytes = 16 * (K * (K + P) + P * N)
+    chunk = max(1, _CHUNK_BYTES // draw_bytes)
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
     np.empty(1 << 22, np.uint8)
@@ -350,8 +363,22 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
         eye = np.broadcast_to(np.eye(K), H.shape[:-1] + (K,))
         return np.concatenate([H * np.sqrt(sigma2 / sigma_v2), eye], axis=-1)
 
-    fixed = mixing(H) if scenario is not None and not redraw_channel else None
     scale = sigma_v2 / N
+    if _tridiagonal(scenario):
+        # a redrawn channel keeps ||h||, and so t1
+        t1 = 1.0 if scenario is None else 1.0 + sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
+
+        def draw(seeds):
+            g = SeededStream(seeds ^ WISHART_TAG).wishart_bidiagonal(K, N, t1)
+            x2, y2 = g[:, :K], g[:, K:]
+            diag = x2.copy()
+            diag[:, 1:] += y2
+            lam_min, lam_max = _tridiagonal_extremes(diag, x2[:, :-1] * y2)
+            return lam_min * scale, lam_max * scale
+
+        return draw
+
+    fixed = mixing(H) if scenario is not None and not redraw_channel else None
 
     def draw(seeds):
         M = SeededStream(seeds ^ WISHART_TAG).wishart_factor(K + P, N)
@@ -366,6 +393,66 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
         return w[:, 0] * scale, w[:, -1] * scale
 
     return draw
+
+
+def _tridiagonal(scenario) -> bool:
+    """Whether ``"wishart"`` trials of this batch take the tridiagonal route: noise only, or
+    one Gaussian source, whose law depends on the scenario only through t1."""
+    return scenario is None or (scenario.P == 1 and scenario.modulation is Modulation.GAUSSIAN)
+
+
+def _tridiagonal_extremes(diag, offsq):
+    """(lambda_min, lambda_max) of each positive semi-definite tridiagonal T, one per row
+    of ``diag`` (K entries) and ``offsq`` (its K - 1 squared off-diagonal entries).
+
+    Sturm-count bisection, as LAPACK ``dstebz``: the pivots of T - s I count the
+    eigenvalues below s, a pivot smaller than ``pivmin`` in magnitude counts as
+    ``-pivmin`` (so a zero pivot counts as negative and the next one stays finite), and
+    the search starts from Gershgorin's interval widened by ``dstebz``'s fudge (its lower
+    end held at 0).  Both extremes of every row bisect together on the bit patterns of
+    non-negative doubles until each interval is two adjacent doubles, a fixed point of
+    the step, so a row's result does not depend on the other rows.
+    """
+    K = diag.shape[1]
+    a, e2 = diag.T[:, None, :], offsq.T[:, None, :]  # K x 1 x C, against 2 x C brackets
+    e, radius = np.sqrt(e2), np.zeros_like(a)
+    radius[:-1] += e
+    radius[1:] += e
+    lo, hi = np.min(a - radius, axis=0), np.max(a + radius, axis=0)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=0))
+    fudge = 2.1 * np.finfo(float).eps * K * np.maximum(np.abs(lo), hi)
+    lo = np.maximum(lo - fudge - 4.2 * pivmin, 0.0).repeat(2, axis=0).view(np.uint64)
+    hi = (hi + fudge + 2.1 * pivmin).repeat(2, axis=0).view(np.uint64)
+
+    q, ratio = np.empty((K,) + lo.shape), np.empty(lo.shape)
+    rows = list(zip(q[1:], q[:-1], e2))
+
+    def sweep(s, guard):
+        """The pivots of T - s I into q, with or without the pivmin guard."""
+        np.subtract(a, s, out=q)
+        for q_i, q_prev, e2_prev in rows:
+            if guard:
+                np.copyto(q_prev, -pivmin, where=np.abs(q_prev) < pivmin)
+            np.divide(e2_prev, q_prev, out=ratio)
+            np.subtract(q_i, ratio, out=q_i)
+        if guard:
+            np.copyto(q[-1], -pivmin, where=np.abs(q[-1]) < pivmin)
+
+    below = np.empty(lo.shape, dtype=bool)
+    pivmax = pivmin.max()
+    with np.errstate(all="ignore"):
+        while (hi - lo > 1).any():
+            mid = (lo + hi) >> np.uint64(1)
+            sweep(mid.view(float), guard=False)
+            # the unguarded sweep is the guarded one unless some pivot needed the guard
+            if not np.abs(q).min() >= pivmax:
+                sweep(mid.view(float), guard=True)
+            # a negative pivot per eigenvalue below mid: any for lambda_min, all for lambda_max
+            np.less(q[:, 0].min(axis=0), 0.0, out=below[0])
+            np.less(q[:, 1].max(axis=0), 0.0, out=below[1])
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    return lo.view(float)
 
 
 def ks_distance(batch, cdf) -> float:

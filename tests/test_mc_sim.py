@@ -27,6 +27,8 @@ from eigendetect.simulate import (
     WISHART_TAG,
     _RETRY_TAG,
     _trial_draw,
+    _tridiagonal,
+    _tridiagonal_extremes,
     dump_batch_csv,
     dump_cdf_comparison_csv,
     gen_noise,
@@ -97,6 +99,9 @@ STREAM_CALLS = st.one_of(
               st.tuples(st.lists(st.floats(1.0, 1.5), min_size=1, max_size=8))),
     st.tuples(st.just("wishart_factor"),
               st.integers(1, 5).flatmap(lambda K: st.tuples(st.just(K), st.integers(K, 12)))),
+    st.tuples(st.just("wishart_bidiagonal"),
+              st.integers(2, 5).flatmap(lambda K: st.tuples(st.just(K), st.integers(K + 1, 12),
+                                                            st.floats(1.0, 10.0)))),
 )
 
 
@@ -269,13 +274,19 @@ def test_batch_h1_uses_scenario_noise():
 
 
 def test_batch_redraw_channel_changes_trials_but_stays_seeded():
-    sc = scenario_from_snr(10, 0.5, seed=3)
-    d = DetectorDesign(10, 100, 1)
+    sc = scenario_from_component_snrs(10, (0.3, 0.2), seed=3)
+    d = DetectorDesign(10, 100, 2)
     b1 = run_trials(d, sc, trials=30, seed=9, redraw_channel=True)
     b2 = run_trials(d, sc, trials=30, seed=9, redraw_channel=True)
     b3 = run_trials(d, sc, trials=30, seed=9, redraw_channel=False)
     assert np.array_equal(b1.t_stat, b2.t_stat)
     assert not np.array_equal(b1.t_stat, b3.t_stat)
+    # one Gaussian source: a redrawn channel keeps ||h||, so t1 and the law, and the
+    # tridiagonal route draws nothing else, so the batch is the fixed-channel one
+    sc = scenario_from_snr(10, 0.5, seed=3)
+    d = DetectorDesign(10, 100, 1)
+    assert np.array_equal(run_trials(d, sc, trials=30, seed=9, redraw_channel=True).t_stat,
+                          run_trials(d, sc, trials=30, seed=9).t_stat)
 
 
 def test_batch_scenario_design_mismatch():
@@ -294,6 +305,18 @@ def _eigvalsh_stacks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", record)
     return stacks
+
+
+def _bidiagonal_draws(monkeypatch):
+    """Keep every array SeededStream.wishart_bidiagonal draws, in call order."""
+    real, draws = SeededStream.wishart_bidiagonal, []
+
+    def record(self, *args):
+        draws.append(real(self, *args))
+        return draws[-1]
+
+    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", record)
+    return draws
 
 
 def _gram_matrices(monkeypatch, design, scenario, sampler, seeds):
@@ -316,10 +339,19 @@ def _flaky_eigvalsh(monkeypatch, failing):
     monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
 
 
-def test_batch_retries_a_failed_eigensolve(monkeypatch):
-    d = DetectorDesign(8, 64, 1)
+def _eigvalsh_batches():
+    """(design, scenario, sampler) at K=8, N=64 for batches whose trials factor a Gram matrix
+    with np.linalg.eigvalsh: noise only on "direct", QPSK on both samplers, two Gaussian
+    sources on "wishart".  Noise-only and one-source Gaussian Wishart batches bisect a
+    tridiagonal instead, and a bisection raises no LinAlgError."""
     qpsk = scenario_from_snr(8, 0.5, modulation="qpsk", seed=2)
-    for sc, sampler in itertools.product((None, qpsk), SAMPLERS):
+    gauss2 = scenario_from_component_snrs(8, (0.3, 0.2), seed=2)
+    for sc, sampler in ((None, "direct"), (qpsk, "direct"), (qpsk, "wishart"), (gauss2, "wishart")):
+        yield DetectorDesign(8, 64, 1 if sc is None else sc.P), sc, sampler
+
+
+def test_batch_retries_a_failed_eigensolve(monkeypatch):
+    for d, sc, sampler in _eigvalsh_batches():
         clean = run_trials(d, sc, trials=10, seed=21, sampler=sampler)
         trial_3 = _gram_matrices(monkeypatch, d, sc, sampler, {trial_seed(21, 3)})
         batches = []
@@ -338,6 +370,14 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
         others = np.arange(10) != 3
         assert np.array_equal(a.t_stat[others], clean.t_stat[others])
 
+    def no_eigensolve(a):
+        raise np.linalg.LinAlgError("the tridiagonal route calls no eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    d = DetectorDesign(8, 64, 1)
+    for sc in (None, scenario_from_snr(8, 0.5, seed=2)):
+        assert run_trials(d, sc, trials=10, seed=21).retries == 0
+
 
 @pytest.mark.parametrize(
     "failing_calls",  # the trial seeds whose eigensolve fails
@@ -345,12 +385,11 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
      {trial_seed(21, 0), trial_seed(21, 0) ^ _RETRY_TAG}],  # a failed retry
 )
 def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
-    for sampler in SAMPLERS:
-        failing = _gram_matrices(monkeypatch, DetectorDesign(8, 64, 1), None, sampler,
-                                 failing_calls)
+    for d, sc, sampler in _eigvalsh_batches():
+        failing = _gram_matrices(monkeypatch, d, sc, sampler, failing_calls)
         _flaky_eigvalsh(monkeypatch, failing)
         with pytest.raises(NumericError, match="eigensolver failed"):
-            run_trials(DetectorDesign(8, 64, 1), None, trials=10, seed=21, sampler=sampler)
+            run_trials(d, sc, trials=10, seed=21, sampler=sampler)
         monkeypatch.undo()
 
 
@@ -359,10 +398,10 @@ def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
 # every trial was drawn and solved alone.  The counts are 1, c - 1, c, c + 1 and 2c + 3 for
 # the chunk size c of each case.
 BATCH_PINS = {
-    "h0": ((1, 239, 240, 241, 483),
-        "4dcc1789015961687303910b1667c9f19ec653bc08993089ff92cbc668057ba4"),
-    "p1_fixed": ((1, 239, 240, 241, 483),
-        "6e7a0a114f9e0b687e6fdddf7cfa196d6e9acc62c1e732636176d475029a1750"),
+    "h0": ((1, 4368, 4369, 4370, 8741),
+        "679bf3593e9fdfb8e0080eba9faab21165859976d4ea9d90ce4e8d718275a34f"),
+    "p1_fixed": ((1, 4368, 4369, 4370, 8741),
+        "c103e2fa4a807657c1e93c4dd9379768592b01e01808cc148fd2189be970e025"),
     "p2_fixed": ((1, 156, 157, 158, 317),
         "bc89892f9c62cf738084b16bfd75fed6ff1f4bd12bce724ff9c256dff86789e0"),
     "p2_redraw": ((1, 156, 157, 158, 317),
@@ -397,7 +436,11 @@ def _pin_case(case):
 def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
     counts, digest = BATCH_PINS[case]
     d, sc, redraw, sampler = _pin_case(case)
-    stacks = _eigvalsh_stacks(monkeypatch)
+    # a chunk is one stack of Gram matrices, or one bidiagonal draw on the tridiagonal route
+    if sampler == "wishart" and _tridiagonal(sc):
+        chunks = _bidiagonal_draws(monkeypatch)
+    else:
+        chunks = _eigvalsh_stacks(monkeypatch)
     h = hashlib.sha256()
     for n in counts:
         b = run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
@@ -405,11 +448,11 @@ def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
         h.update(b.t_stat.tobytes())
     c = counts[2]
     # the counts straddle the chunk edges
-    assert [len(a) for a in stacks] == [1, c - 1, c, c, 1, c, c, 3]
+    assert [len(a) for a in chunks] == [1, c - 1, c, c, 1, c, c, 3]
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize("case", ["h0", "qpsk_srrc/p1_fixed", "qpsk/p2_redraw",
+@pytest.mark.parametrize("case", ["h0", "p1_fixed", "qpsk_srrc/p1_fixed", "qpsk/p2_redraw",
                                   "qpsk/p2_redraw@direct", "wide/qpsk/p2_redraw"])
 def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
     d, sc, redraw, sampler = _pin_case(case)
@@ -433,6 +476,7 @@ def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sampler):
     stacks = _eigvalsh_stacks(monkeypatch)
+    draws = _bidiagonal_draws(monkeypatch)  # a noise-only Wishart batch solves no Gram matrix
     d = DetectorDesign(8, 64, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -442,7 +486,7 @@ def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sample
         for trials in (10.0, True, 0, -3, "10", None):
             with pytest.raises(DomainError, match="trials must be an integer >= 1"):
                 run_trials(d, None, trials=trials, seed=1, sampler=sampler)
-    assert stacks == []
+    assert stacks == draws == []
     assert run_trials(d, None, trials=np.int64(3), seed=1, sampler=sampler).trials == 3
 
 
@@ -481,6 +525,8 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
 # non-Gaussian modulation has a one-source case with a fixed channel and a
 # two-source case with a redrawn channel.  Two "wide/" cases run at (K=9, N=10),
 # declared with the rest, where K + P > N and the Bartlett factor is trapezoidal.
+# The noise-only and one-source Gaussian cases (EQ_TRIDIAGONAL) draw a bidiagonal, not a
+# Bartlett factor, so their broken-model controls are a wrong bidiagonal.
 
 EQ_DESIGN_KN = (10, 100)
 EQ_WIDE_KN = (9, 10)  # the geometry of a "wide/" case: two sources, K + P > N
@@ -489,7 +535,9 @@ EQ_SEEDS = {"direct": 101, "wishart": 202}
 EQ_ALPHA = 1e-3
 EQ_MODULATIONS = ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex")
 EQ_NON_GAUSSIAN = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p2_redraw"))
-EQ_CASES = ("h0", "p1_fixed", "p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
+EQ_TRIDIAGONAL = ("h0", "p1_fixed", "p1_redraw")
+EQ_BARTLETT = ("p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
+EQ_CASES = EQ_TRIDIAGONAL + EQ_BARTLETT
 EQ_WIDE_CASES = ("wide/p2_fixed", "wide/qpsk/p2_redraw")
 
 
@@ -500,9 +548,9 @@ def _eq_case(case, K_N=EQ_DESIGN_KN):
     modulation = modulation or "gaussian"
     if case == "h0":
         return DetectorDesign(K, N, 1), None, False
-    if case == "p1_fixed":
+    if case in ("p1_fixed", "p1_redraw"):
         sc = scenario_from_snr(K, 0.5, sigma_v2=2.0, modulation=modulation, seed=7)
-        return DetectorDesign(K, N, 1), sc, False
+        return DetectorDesign(K, N, 1), sc, case == "p1_redraw"
     sc = scenario_from_component_snrs(K, (0.3, 0.2), modulation=modulation, seed=7)
     return DetectorDesign(K, N, 2), sc, case == "p2_redraw"
 
@@ -556,13 +604,12 @@ def _real_off_diagonal(self, K, N):
     return _factor(K, N, below, self.standard_gamma(N - np.arange(min(K, N))))
 
 
-# real off-diagonal entries keep every second moment, and at this geometry only the
-# noise-only case rejects them (p = 2.4e-6; the signal-present cases give 5e-4 to
-# 0.02, the wide/ ones 2.1e-3 and 0.088); the contract rebuild below catches them in
-# every case
+# real off-diagonal entries keep every second moment, and at this geometry they were
+# rejected only while noise-only batches drew a Bartlett factor (p = 2.4e-6; the
+# two-source cases give 5e-4 to 0.02, the wide/ ones 2.1e-3 and 0.088), so they have no
+# case here; the contract rebuild below catches them in every case
 @pytest.mark.parametrize("wrong, case",
-                         [(_wrong_diagonal, case) for case in EQ_CASES + EQ_WIDE_CASES]
-                         + [(_real_off_diagonal, "h0")])
+                         [(_wrong_diagonal, case) for case in EQ_BARTLETT + EQ_WIDE_CASES])
 def test_sampler_equivalence_rejects_a_wrong_factor(monkeypatch, wrong, case):
     monkeypatch.setattr(SeededStream, "wishart_factor", wrong)
     p = _eq_pvalues(case)
@@ -581,10 +628,37 @@ def _dropped_noise_block(P):
     return dropped
 
 
-@pytest.mark.parametrize("case", EQ_CASES[1:] + EQ_WIDE_CASES)
+@pytest.mark.parametrize("case", EQ_BARTLETT + EQ_WIDE_CASES)
 def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
     d, _, _ = _eq_case(case)
     monkeypatch.setattr(SeededStream, "wishart_factor", _dropped_noise_block(d.P))
+    p = _eq_pvalues(case)
+    assert min(p.values()) < EQ_ALPHA, p
+
+
+def _bidiagonal_shapes(K, N):
+    return np.concatenate([N - np.arange(K), np.arange(K - 1, 0, -1)])
+
+
+def _wrong_degrees(self, K, N, t1):
+    # diagonal chi degrees one above the contract's: shapes N - i + 1
+    g = self.standard_gamma(_bidiagonal_shapes(K, N) + (np.arange(2 * K - 1) < K))
+    g[..., 0] *= t1
+    return g
+
+
+def _spike_on_last(self, K, N, t1):
+    # the spike on x_{K-1} instead of x_0
+    g = self.standard_gamma(_bidiagonal_shapes(K, N))
+    g[..., K - 1] *= t1
+    return g
+
+
+# a spike moved under noise only (t1 = 1) changes nothing, so it has no h0 case
+@pytest.mark.parametrize("wrong, case", [(_wrong_degrees, case) for case in EQ_TRIDIAGONAL]
+                         + [(_spike_on_last, case) for case in EQ_TRIDIAGONAL[1:]])
+def test_sampler_equivalence_rejects_a_wrong_bidiagonal(monkeypatch, wrong, case):
+    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", wrong)
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
@@ -683,23 +757,24 @@ class _RefStream:
         return L
 
 
-# (case, N); at N = 10, K + P = 11 > N and L is 11 x 10, lower-trapezoidal
-CONTRACT_CASES = (("h0", 40), ("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
+# (case, N) on the Bartlett factor; at N = 10, K + P = 11 > N and L is 11 x 10,
+# lower-trapezoidal
+CONTRACT_CASES = (("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
                   ("gaussian/fixed", 10), ("qpsk/redraw", 10))
+# (case, N) on the tridiagonal route: noise only, and one Gaussian source
+TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40))
 
 
 def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
-    """A Wishart batch at K=9 (two sources of unequal power under H1), and its
+    """A Wishart batch at K=9 with two sources of unequal power, and its
     (lambda_min, lambda_max) rebuilt from the documented contract: the eigenvalues of
-    sigma_v2 M M^H / N with M = [H Sigma^(1/2) / sigma_v, I_K] L (L itself under H0), L the
-    Bartlett factor of Wishart(N, I_{K+P}), whose leading P x P block is R^H for the
-    unit-power Z = R^H Q^H of a non-Gaussian batch."""
-    K = 9
-    sc, P, redraw = None, 0, False
-    if case != "h0":
-        modulation, _, channel = case.partition("/")
-        H = scenario_from_component_snrs(K, (0.3, 0.2), sigma_v2=sigma_v2, seed=5).H
-        sc, P, redraw = Scenario(H, [2.0, 0.5], sigma_v2, modulation), 2, channel == "redraw"
+    sigma_v2 M M^H / N with M = [H Sigma^(1/2) / sigma_v, I_K] L, L the Bartlett factor of
+    Wishart(N, I_{K+P}), whose leading P x P block is R^H for the unit-power Z = R^H Q^H
+    of a non-Gaussian batch."""
+    K, P = 9, 2
+    modulation, _, channel = case.partition("/")
+    H = scenario_from_component_snrs(K, (0.3, 0.2), sigma_v2=sigma_v2, seed=5).H
+    sc, redraw = Scenario(H, [2.0, 0.5], sigma_v2, modulation), channel == "redraw"
     batch = run_trials(DetectorDesign(K, N, 2), sc, trials=trials, seed=seed,
                        sigma_v2=sigma_v2, redraw_channel=redraw, sampler="wishart")
 
@@ -710,25 +785,70 @@ def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
     for i in range(trials):
         ts = trial_seed(seed, i)
         M = _RefStream(ts ^ WISHART_TAG).wishart_factor(K + P, N)
-        if sc is not None:
-            if sc.modulation.value != "gaussian":
-                Z = gen_signal(P, N, sc.modulation, np.ones(P), ts ^ SIGNAL_TAG)
-                M[:P, :P] = np.linalg.qr(Z.conj().T, mode="r").conj().T
-            H = sc.H
-            if redraw:  # a fresh channel with the scenario's column norms
-                g = _RefStream(ts ^ CHANNEL_TAG).complex_normals((K, P))
-                H = g * (norms(H) / norms(g))
-            M = np.hstack([H * np.sqrt(sc.sigma2 / sigma_v2), np.eye(K)]) @ M
+        if sc.modulation.value != "gaussian":
+            Z = gen_signal(P, N, sc.modulation, np.ones(P), ts ^ SIGNAL_TAG)
+            M[:P, :P] = np.linalg.qr(Z.conj().T, mode="r").conj().T
+        if redraw:  # a fresh channel with the scenario's column norms
+            g = _RefStream(ts ^ CHANNEL_TAG).complex_normals((K, P))
+            H = g * (norms(sc.H) / norms(g))
+        M = np.hstack([H * np.sqrt(sc.sigma2 / sigma_v2), np.eye(K)]) @ M
         w = np.linalg.eigvalsh(M @ M.conj().T)
         rebuilt.append((w[0] * (sigma_v2 / N), w[-1] * (sigma_v2 / N)))
     return batch, np.array(rebuilt).T
 
 
-def test_wishart_trials_rebuild_from_the_contract():
+def _dense_tridiagonal(diag, offsq):
+    """The K x K tridiagonal T of each row of ``diag`` and ``offsq`` (squared off-diagonal)."""
+    C, K = diag.shape
+    T = np.zeros((C, K, K))
+    i = np.arange(K)
+    T[:, i, i] = diag
+    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = np.sqrt(offsq)
+    return T
+
+
+def _tridiagonal_of(x2, y2):
+    """(diagonal, squared off-diagonal) of T = B B^T for the lower-bidiagonal B with squared
+    diagonal x2 and sub-diagonal y2: x_i^2 + y_{i-1}^2 and x_i^2 y_i^2."""
+    diag = x2.copy()
+    diag[..., 1:] += y2
+    return diag, x2[..., :-1] * y2
+
+
+def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma_v2=1.5):
+    """A Wishart batch at K=9 on the tridiagonal route (one source of power 2 for "p1"), the
+    gammas it drew, and both rebuilt from the documented contract: 2K - 1 gammas of shapes
+    N, ..., N-K+1, K-1, ..., 1, the first times t1 = 1 + sigma^2 ||h||^2 / sigma_v2, are the
+    squared diagonal and sub-diagonal of B, and the extremes are those of
+    sigma_v2 B B^T / N."""
+    K, sc, t1 = 9, None, 1.0
+    if case == "p1":
+        h = scenario_from_snr(K, 0.4, sigma_v2=sigma_v2, seed=5).H
+        sc, t1 = Scenario(h, [2.0], sigma_v2), 1.0 + 2.0 * np.sum(np.abs(h) ** 2) / sigma_v2
+    drawn = _bidiagonal_draws(monkeypatch)
+    batch = run_trials(DetectorDesign(K, N, 1), sc, trials=trials, seed=seed, sigma_v2=sigma_v2)
+    monkeypatch.undo()
+    shapes = [N - i for i in range(K)] + [K - 1 - i for i in range(K - 1)]
+    gammas = np.array([_RefStream(trial_seed(seed, i) ^ WISHART_TAG).gammas(shapes)
+                       for i in range(trials)])
+    gammas[:, 0] *= t1
+    w = np.linalg.eigvalsh(_dense_tridiagonal(*_tridiagonal_of(gammas[:, :K], gammas[:, K:])))
+    w *= sigma_v2 / N
+    return batch, np.concatenate(drawn), gammas, (w[:, 0], w[:, -1])
+
+
+def test_wishart_trials_rebuild_from_the_contract(monkeypatch):
     for case, N in CONTRACT_CASES:
         b, (lam_min, lam_max) = _batch_and_rebuild(case, N)
         assert np.array_equal(b.lambda_min, lam_min), (case, N)
         assert np.array_equal(b.lambda_max, lam_max), (case, N)
+    # the tridiagonal route draws the contract's gammas bit for bit; its bisection is not
+    # LAPACK's eigensolver, so its extremes meet a dense one's to 1e-12
+    for case, N in TRIDIAGONAL_CONTRACT_CASES:
+        b, drawn, gammas, (lam_min, lam_max) = _bidiagonal_batch_and_rebuild(monkeypatch, case, N)
+        assert np.array_equal(drawn, gammas), (case, N)
+        np.testing.assert_allclose(b.lambda_min, lam_min, rtol=1e-12, atol=0, err_msg=case)
+        np.testing.assert_allclose(b.lambda_max, lam_max, rtol=1e-12, atol=0, err_msg=case)
 
 
 @pytest.mark.parametrize("wrong", [_wrong_diagonal, _real_off_diagonal])
@@ -737,6 +857,40 @@ def test_contract_rebuild_rejects_a_wrong_factor(monkeypatch, wrong):
     for case, N in CONTRACT_CASES:
         b, (lam_min, lam_max) = _batch_and_rebuild(case, N)
         assert not np.any((b.lambda_min == lam_min) | (b.lambda_max == lam_max)), (case, N)
+
+
+# --- tridiagonal eigensolver ----------------------------------------------------------
+#
+# Declared before any run: these shapes and spikes, 200 bidiagonals for each pair (the
+# trial seeds of batch seed 17), and 1e-12 relative to a dense eigvalsh of the same T.
+
+SOLVER_SHAPES = ((2, 3), (2, 1000), (9, 10), (10, 100), (50, 1000), (100, 1000))
+SOLVER_SPIKES = (1.0, 1.5, 6.0, 1e6)
+SOLVER_TRIALS = 200
+
+
+@pytest.mark.parametrize("K, N", SOLVER_SHAPES)
+def test_tridiagonal_extremes_match_a_dense_eigensolver(K, N):
+    seeds = np.array([trial_seed(17, i) for i in range(SOLVER_TRIALS)], dtype=np.uint64)
+    for t1 in SOLVER_SPIKES:
+        g = SeededStream(seeds).wishart_bidiagonal(K, N, t1)
+        diag, offsq = _tridiagonal_of(g[:, :K], g[:, K:])
+        w = np.linalg.eigvalsh(_dense_tridiagonal(diag, offsq))
+        lam_min, lam_max = _tridiagonal_extremes(diag, offsq)
+        np.testing.assert_allclose(lam_min, w[:, 0], rtol=1e-12, atol=0, err_msg=str(t1))
+        np.testing.assert_allclose(lam_max, w[:, -1], rtol=1e-12, atol=0, err_msg=str(t1))
+
+
+def test_tridiagonal_extremes_guard_a_zero_pivot():
+    # T = [[2, 1, 0], [1, 2, 0], [0, 0, 0.5]]: at each extreme (0.5 and 3, doubles that the
+    # bisection meets exactly) one pivot is exactly 0, and at 3 the next division is 0 / 0
+    # without the guard.  As -pivmin the zero counts the eigenvalue as below, so each
+    # result is the double just under it.
+    diag, offsq = np.array([[2.0, 2.0, 0.5]]), np.array([[1.0, 0.0]])
+    lam = _tridiagonal_extremes(diag, offsq)[:, 0]
+    w = np.linalg.eigvalsh(_dense_tridiagonal(diag, offsq))[0]
+    np.testing.assert_allclose(lam, w[[0, -1]], rtol=1e-12, atol=0)
+    assert list(lam) == [np.nextafter(0.5, 0.0), np.nextafter(3.0, 0.0)]
 
 
 def test_gamma_rounds_consume_whole_rounds():
