@@ -147,7 +147,7 @@ def cmd_identify(args) -> int:
         raise DomainError("--k is required")
     if args.n is not None:
         rho = critical_snr(args.k, args.n)
-        design = DetectorDesign(K=args.k, N=args.n) if args.k < args.n else None
+        design = DetectorDesign(K=args.k, N=args.n) if 1 < args.k < args.n else None
         print("critical_snr %.10g" % rho)
         print("critical_snr_db %.6f" % (10.0 * math.log10(rho)))
         if design is not None:

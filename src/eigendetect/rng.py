@@ -36,8 +36,9 @@ stream may change between releases:
   ``L L^H`` complex Wishart(N, I_K), the law of ``Z Z^H`` for a K x N
   matrix ``Z = L Q`` of unit complex normals (Dumitriu & Edelman 2002;
   for K > N the singular Wishart, Srivastava 2003).  The simulator draws
-  one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` (see
-  :mod:`eigendetect.simulate`).
+  one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` only for
+  two or more Gaussian sources or any non-Gaussian source; noise-only
+  batches draw none (see :mod:`eigendetect.simulate`).
 * Wishart bidiagonals (K < N).  One gamma draw of the 2K - 1 shapes
   ``N, N-1, ..., N-K+1, K-1, K-2, ..., 1``: the squared diagonal
   ``x_0^2 .. x_{K-1}^2`` then the squared sub-diagonal ``y_0^2 .. y_{K-2}^2``
@@ -56,7 +57,8 @@ whole rounds it would consume alone.  The simulator draws a chunk of
 trials this way (see :mod:`eigendetect.simulate`).
 
 Derived seeds (per-trial, per-row) are produced with :func:`mix`, a
-SplitMix64-style hash of the counter, XORed into the parent seed.
+SplitMix64-style hash of the counter (each of an array of counters, so a
+chunk's trial seeds are one array call), XORed into the parent seed.
 """
 
 from __future__ import annotations
@@ -88,11 +90,13 @@ def _mix64(z):
     return z ^ (z >> _S31)
 
 
-def mix(counter: int) -> int:
-    """64-bit hash of a small counter, for deriving child seeds."""
+def mix(counter):
+    """64-bit hash of a small counter, for deriving child seeds; an integer array of counters
+    gives the uint64 array of their hashes."""
+    counter = np.asarray(counter & _MASK if isinstance(counter, int) else counter, np.uint64)
     with np.errstate(over="ignore"):
-        word = _mix64((np.uint64(counter & _MASK) + _ONE) * _GAMMA)
-    return int(word)
+        word = _mix64((counter + _ONE) * _GAMMA)
+    return int(word) if word.ndim == 0 else word
 
 
 class SeededStream:
@@ -143,18 +147,20 @@ class SeededStream:
         c = 1.0 / np.sqrt(9.0 * d)
         out = np.empty((self._seed.size, d.size))
         todo = np.ones(out.shape, dtype=bool)
-        while todo.any():
-            start = self._cursor
-            x = self.standard_normal(d.size).reshape(out.shape)
-            u = self.uniform_open(d.size).reshape(out.shape)
-            # a row that accepted in an earlier round takes no words from this one
-            self._cursor = np.where(todo.any(axis=1), self._cursor, start)
+        rows = np.arange(self._seed.size)
+        while rows.size:
+            # a round draws words only for the rows with an entry still open
+            sub = object.__new__(SeededStream)
+            sub._lead, sub._seed, sub._cursor = rows.shape, self._seed[rows], self._cursor[rows]
+            x, u = sub.standard_normal(d.size), sub.uniform_open(d.size)
+            self._cursor[rows] = sub._cursor
             t = 1.0 + c * x
             v = t * t * t
             with np.errstate(invalid="ignore", divide="ignore"):
                 ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
-            out = np.where(todo & ok, d * v, out)
-            todo &= ~ok
+            out[rows] = np.where(todo[rows] & ok, d * v, out[rows])
+            todo[rows] &= ~ok
+            rows = rows[todo[rows].any(axis=1)]
         return out.reshape(self._lead + a.shape)
 
     def wishart_factor(self, K: int, N: int) -> np.ndarray:

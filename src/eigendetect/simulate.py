@@ -22,9 +22,10 @@ stream itself):
   ``trial_seed XOR SIGNAL_TAG``;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
-Trials run in chunks: each draw above is made once for the chunk's whole
-array of trial seeds (see :class:`eigendetect.rng.SeededStream`), and the
-Gram matrices are factored and solved as one stack (the tridiagonals are
+Trials run in chunks: a chunk's trial seeds are one ``trial_seed`` call
+over its array of trial indices, each draw above is made once for that
+whole array (see :class:`eigendetect.rng.SeededStream`), and the Gram
+matrices are factored and solved as one stack (the tridiagonals are
 bisected as one array).  Row t of a chunk is bit for bit trial t's own
 draw, so the chunk size changes no output; a chunk whose eigensolve fails
 is redone one trial at a time.
@@ -95,9 +96,9 @@ _SRRC_SPS = 8      # samples per symbol
 _SRRC_SPAN = 10    # pulse truncation, in symbols
 
 
-def trial_seed(seed: int, index: int) -> int:
-    """Per-trial seed: batch seed XOR a hash of the trial index."""
-    return (int(seed) ^ mix(index)) & (2 ** 64 - 1)
+def trial_seed(seed: int, index: int | np.ndarray):
+    """Per-trial seed: batch seed XOR a hash of the trial index (entrywise for an array)."""
+    return (int(seed) & (2 ** 64 - 1)) ^ mix(index)
 
 
 def _check_seed(seed, caller: str) -> None:
@@ -279,14 +280,7 @@ def run_trials(
         raise DomainError("run_trials: sigma_v2 must be positive and finite")
     if sampler not in SAMPLERS:
         raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
-    draw = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
-    K, N, P = design.K, design.N, design.P
-    if sampler == "direct":
-        draw_bytes = 16 * (K + P) * N  # per trial
-    elif _tridiagonal(scenario):
-        draw_bytes = 8 * (2 * K - 1)
-    else:
-        draw_bytes = 16 * (K * (K + P) + P * N)
+    draw, draw_bytes = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
     chunk = max(1, _CHUNK_BYTES // draw_bytes)
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
@@ -304,7 +298,7 @@ def run_trials(
     failed = []
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
-        seeds = np.array([trial_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
+        seeds = trial_seed(seed, np.arange(lo, hi, dtype=np.uint64))
         if solved(slice(lo, hi), seeds):
             continue
         # one trial at a time; a failed trial is redrawn once from trial_seed ^ _RETRY_TAG
@@ -334,7 +328,9 @@ def run_trials(
 
 
 def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
-    """``draw(trial_seeds) -> (lambda_min, lambda_max)``, one entry per trial seed."""
+    """The batch's route, as ``(draw, draw_bytes)``: ``draw(trial_seeds) -> (lambda_min,
+    lambda_max)`` gives one entry per trial seed, and about ``draw_bytes`` of draws per trial
+    set the chunk size."""
     K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
@@ -356,16 +352,11 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
             w = np.linalg.eigvalsh((Y @ Y.conj().swapaxes(-1, -2)) / N)
             return w[:, 0], w[:, -1]
 
-        return draw
-
-    def mixing(H):
-        """W = [H Sigma^(1/2) / sigma_v, I_K], so that Y / sigma_v = W [Z; V / sigma_v]."""
-        eye = np.broadcast_to(np.eye(K), H.shape[:-1] + (K,))
-        return np.concatenate([H * np.sqrt(sigma2 / sigma_v2), eye], axis=-1)
+        return draw, 16 * (K + design.P) * N
 
     scale = sigma_v2 / N
-    if _tridiagonal(scenario):
-        # a redrawn channel keeps ||h||, and so t1
+    if scenario is None or (P == 1 and scenario.modulation is Modulation.GAUSSIAN):
+        # the law depends on the scenario only through t1, which a redrawn channel keeps
         t1 = 1.0 if scenario is None else 1.0 + sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
 
         def draw(seeds):
@@ -376,29 +367,25 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
             lam_min, lam_max = _tridiagonal_extremes(diag, x2[:, :-1] * y2)
             return lam_min * scale, lam_max * scale
 
-        return draw
+        return draw, 8 * (2 * K - 1)
 
-    fixed = mixing(H) if scenario is not None and not redraw_channel else None
+    def mixing(H):
+        """W = [H Sigma^(1/2) / sigma_v, I_K], so that Y / sigma_v = W [Z; V / sigma_v]."""
+        eye = np.broadcast_to(np.eye(K), H.shape[:-1] + (K,))
+        return np.concatenate([H * np.sqrt(sigma2 / sigma_v2), eye], axis=-1)
 
     def draw(seeds):
         M = SeededStream(seeds ^ WISHART_TAG).wishart_factor(K + P, N)
-        if scenario is not None:
-            if scenario.modulation is not Modulation.GAUSSIAN:
-                # Z = R^H Q^H: QR also factors the rank-deficient Z of discrete symbols
-                Z = gen_signal(P, N, scenario.modulation, np.ones(P), seeds ^ SIGNAL_TAG)
-                M[..., :P, :P] = np.linalg.qr(Z.conj().swapaxes(-1, -2),
-                                              mode="r").conj().swapaxes(-1, -2)
-            M = (mixing(channel(seeds)) if redraw_channel else fixed) @ M
+        if scenario.modulation is not Modulation.GAUSSIAN:
+            # Z = R^H Q^H: QR also factors the rank-deficient Z of discrete symbols
+            Z = gen_signal(P, N, scenario.modulation, np.ones(P), seeds ^ SIGNAL_TAG)
+            M[..., :P, :P] = np.linalg.qr(Z.conj().swapaxes(-1, -2),
+                                          mode="r").conj().swapaxes(-1, -2)
+        M = mixing(channel(seeds)) @ M
         w = np.linalg.eigvalsh(M @ M.conj().swapaxes(-1, -2))
         return w[:, 0] * scale, w[:, -1] * scale
 
-    return draw
-
-
-def _tridiagonal(scenario) -> bool:
-    """Whether ``"wishart"`` trials of this batch take the tridiagonal route: noise only, or
-    one Gaussian source, whose law depends on the scenario only through t1."""
-    return scenario is None or (scenario.P == 1 and scenario.modulation is Modulation.GAUSSIAN)
+    return draw, 16 * (K * (K + P) + P * N)
 
 
 def _tridiagonal_extremes(diag, offsq):

@@ -70,8 +70,8 @@ class DetectorDesign:
     P: int = 1
 
     def __post_init__(self):
-        if not (self.K >= 1 and 1 <= self.N <= sys.float_info.max):
-            raise DomainError("DetectorDesign: K and N must be positive, N within float range")
+        if not (self.K >= 2 and 1 <= self.N <= sys.float_info.max):
+            raise DomainError("DetectorDesign: K >= 2 and N >= 1 required, N within float range")
         if self.K >= self.N:
             raise DomainError("DetectorDesign: K < N required (aspect ratio c in (0,1))")
         if not 1 <= self.P < self.K:

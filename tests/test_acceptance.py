@@ -18,6 +18,7 @@ quantitative analysis in the companion physics tests next to them:
   center does, at 0.2%.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -71,18 +72,25 @@ def law_cdf(design, hypothesis, t1=None):
 
 # --- shared Monte Carlo fixtures (module scope, seeded) -----------------------
 
-@pytest.fixture(scope="module")
-def h0_batches():
-    return {
-        K: run_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED, sampler="direct")
-        for K in (20, 50, 100)
-    }
+def prefix(batch, m):
+    """The first m trials of a batch: the batch of m trials with the same inputs."""
+    return dataclasses.replace(batch, trials=m, lambda_max=batch.lambda_max[:m],
+                               lambda_min=batch.lambda_min[:m], t_stat=batch.t_stat[:m])
 
 
 @pytest.fixture(scope="module")
 def h0_50_10k():
     return run_trials(DetectorDesign(50, 1000, 1), None, trials=10000, seed=SEED,
                       sampler="direct")
+
+
+@pytest.fixture(scope="module")
+def h0_batches(h0_50_10k):
+    return {
+        K: prefix(h0_50_10k, 5000) if K == 50 else
+        run_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED, sampler="direct")
+        for K in (20, 50, 100)
+    }
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +236,7 @@ def test_c05_multi_source_envelope(p2_batch):
 
 # --- criterion 6: convergence along c = 0.1 --------------------------------------
 
-def test_c06_convergence():
+def test_c06_convergence(h0_batches):
     sizes = ((100, 10), (250, 25), (500, 50), (1000, 100))
     seqs = {}
     for hyp in ("H0", "H1"):
@@ -236,7 +244,9 @@ def test_c06_convergence():
         for N, K in sizes:
             d = DetectorDesign(K, N, 1)
             if hyp == "H0":
-                b = run_trials(d, None, trials=2000, seed=SEED, sampler="direct")
+                # at N = 1000 this batch is a prefix of c03's
+                b = (prefix(h0_batches[K], 2000) if N == 1000 else
+                     run_trials(d, None, trials=2000, seed=SEED, sampler="direct"))
                 kss.append(ks_distance(b, law_cdf(d, "H0")))
             else:
                 sc = scenario_from_snr(K, 1.0 / K, seed=SEED + 2)  # t1 = 2
@@ -340,9 +350,9 @@ def test_c09_threshold_inversion():
 
 # --- criterion 10: noise blindness ---------------------------------------------------
 
-def test_c10_noise_blindness():
+def test_c10_noise_blindness(h0_50_10k):
     d = DetectorDesign(50, 1000, 1)
-    b1 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=1.0, sampler="direct")
+    b1 = prefix(h0_50_10k, 500)  # sigma_v2 = 1
     b10 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=10.0, sampler="direct")
     t_gap = float(np.max(np.abs(b10.t_stat - b1.t_stat) / b1.t_stat))
     g1 = threshold_from_pfa(0.01, d)

@@ -115,6 +115,17 @@ def test_identify_reports_critical_spike(capsys):
     assert float(kv["critical_t1"]) == pytest.approx(1.3162, abs=1e-4)
 
 
+def test_identify_one_receiver_prints_critical_snr(capsys):
+    # K = 1 admits no source (1 <= P < K), so like K >= N it prints no critical_t1
+    rc, out, _ = run_cli(capsys, "identify", "--k", "1", "--n", "5")
+    assert rc == 0
+    kv = parse_kv(out)
+    assert set(kv) == {"critical_snr", "critical_snr_db"}
+    assert float(kv["critical_snr"]) == pytest.approx(5 ** -0.5, rel=1e-9)
+    with pytest.raises(DomainError, match="K >= 2"):
+        DetectorDesign(K=1, N=5)
+
+
 def test_identify_min_samples(capsys):
     rc, out, _ = run_cli(capsys, "identify", "--k", "50", "--snr", "0.01")
     assert rc == 0

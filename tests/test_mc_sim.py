@@ -17,7 +17,7 @@ from scipy.stats import ks_2samp
 
 from eigendetect import simulate
 from eigendetect.errors import DomainError, NumericError
-from eigendetect.rng import SeededStream
+from eigendetect.rng import SeededStream, mix
 from eigendetect.simulate import (
     CHANNEL_TAG,
     NOISE_TAG,
@@ -27,7 +27,6 @@ from eigendetect.simulate import (
     WISHART_TAG,
     _RETRY_TAG,
     _trial_draw,
-    _tridiagonal,
     _tridiagonal_extremes,
     dump_batch_csv,
     dump_cdf_comparison_csv,
@@ -129,6 +128,18 @@ def test_multi_seed_gamma_rows_take_their_own_rounds():
         scalar = SeededStream(t)
         assert np.array_equal(g[t], scalar.standard_gamma(np.ones(8)))
         assert scalar._cursor[0] == multi._cursor[t]
+
+
+def test_trial_seeds_of_an_index_array_are_the_scalar_seeds():
+    idx = np.arange(5000, dtype=np.uint64)
+    words = mix(idx)
+    assert words.dtype == np.uint64
+    assert [int(w) for w in words] == [mix(i) for i in range(5000)]
+    assert [int(w) for w in mix(np.arange(3))] == [mix(i) for i in range(3)]  # int64 counters
+    for seed in (0, 2 ** 64 - 1):
+        seeds = trial_seed(seed, idx)
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [trial_seed(seed, i) for i in range(5000)]
 
 
 # --- noise -------------------------------------------------------------------
@@ -322,7 +333,8 @@ def _bidiagonal_draws(monkeypatch):
 def _gram_matrices(monkeypatch, design, scenario, sampler, seeds):
     """The matrices np.linalg.eigvalsh factors for the trials drawn from these seeds."""
     stacks = _eigvalsh_stacks(monkeypatch)
-    _trial_draw(design, scenario, 1.0, False, sampler)(np.array(sorted(seeds), dtype=np.uint64))
+    draw, _ = _trial_draw(design, scenario, 1.0, False, sampler)
+    draw(np.array(sorted(seeds), dtype=np.uint64))
     monkeypatch.undo()
     return list(stacks[0])
 
@@ -363,7 +375,7 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
         assert np.array_equal(a.t_stat, b.t_stat)
         assert (clean.retries, a.retries, a.sampler) == (0, 1, sampler)
         # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
-        draw = _trial_draw(d, sc, 1.0, False, sampler)
+        draw, _ = _trial_draw(d, sc, 1.0, False, sampler)
         (lo,), (hi,) = draw(np.array([trial_seed(21, 3) ^ _RETRY_TAG], dtype=np.uint64))
         assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
         assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
@@ -437,10 +449,7 @@ def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
     counts, digest = BATCH_PINS[case]
     d, sc, redraw, sampler = _pin_case(case)
     # a chunk is one stack of Gram matrices, or one bidiagonal draw on the tridiagonal route
-    if sampler == "wishart" and _tridiagonal(sc):
-        chunks = _bidiagonal_draws(monkeypatch)
-    else:
-        chunks = _eigvalsh_stacks(monkeypatch)
+    stacks, draws = _eigvalsh_stacks(monkeypatch), _bidiagonal_draws(monkeypatch)
     h = hashlib.sha256()
     for n in counts:
         b = run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
@@ -448,7 +457,7 @@ def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
         h.update(b.t_stat.tobytes())
     c = counts[2]
     # the counts straddle the chunk edges
-    assert [len(a) for a in chunks] == [1, c - 1, c, c, 1, c, c, 3]
+    assert [len(a) for a in draws or stacks] == [1, c - 1, c, c, 1, c, c, 3]
     assert h.hexdigest() == digest
 
 
