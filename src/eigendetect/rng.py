@@ -37,8 +37,8 @@ stream may change between releases:
   matrix ``Z = L Q`` of unit complex normals (Dumitriu & Edelman 2002;
   for K > N the singular Wishart, Srivastava 2003).  The simulator draws
   one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` only for
-  two or more Gaussian sources or any non-Gaussian source; noise-only
-  batches draw none (see :mod:`eigendetect.simulate`).
+  two or more sources; batches with fewer draw none (see
+  :mod:`eigendetect.simulate`).
 * Wishart bidiagonals (K < N).  One gamma draw of the 2K - 1 shapes
   ``N, N-1, ..., N-K+1, K-1, K-2, ..., 1``: the squared diagonal
   ``x_0^2 .. x_{K-1}^2`` then the squared sub-diagonal ``y_0^2 .. y_{K-2}^2``
@@ -48,6 +48,14 @@ stream may change between releases:
   spike scales only the first row's norm, Bloemendal & Virag 2013).  The
   simulator draws it from ``trial_seed XOR WISHART_TAG`` for noise-only
   (t1 = 1) and one-source Gaussian batches.
+* Non-central Wishart bidiagonals (K < N).  One gamma draw of the shapes
+  above with the first lowered to ``N-1``, then one complex normal ``g``,
+  and ``x_0^2`` gains ``|s + g|^2``.  ``B B^T`` has the eigenvalues of
+  ``X X^H`` for X of unit complex normals but for the real mean ``s`` of
+  its entry (0, 0), whose row then has squared norm ``|s + g|^2 +
+  Gamma(N-1)``.  The simulator draws it from ``trial_seed XOR WISHART_TAG``
+  for one non-Gaussian source, with ``s = sigma ||h|| ||z|| / sigma_v``
+  for the trial's unit-power source row ``z``.
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
@@ -84,18 +92,24 @@ _TWO53 = float(2 ** -53)
 
 
 def _mix64(z):
-    """SplitMix64 finalizer; operates on uint64 scalars or arrays."""
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+    """SplitMix64 finalizer, in place on a uint64 array (0-d included), which it returns."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, _S30, out=shifted)
+    z *= _M1
+    z ^= np.right_shift(z, _S27, out=shifted)
+    z *= _M2
+    z ^= np.right_shift(z, _S31, out=shifted)
+    return z
 
 
 def mix(counter):
     """64-bit hash of a small counter, for deriving child seeds; an integer array of counters
     gives the uint64 array of their hashes."""
-    counter = np.asarray(counter & _MASK if isinstance(counter, int) else counter, np.uint64)
+    word = np.array(counter & _MASK if isinstance(counter, int) else counter, np.uint64)
     with np.errstate(over="ignore"):
-        word = _mix64((counter + _ONE) * _GAMMA)
+        word += _ONE
+        word *= _GAMMA
+        _mix64(word)
     return int(word) if word.ndim == 0 else word
 
 
@@ -105,15 +119,20 @@ class SeededStream:
 
     def __init__(self, seed):
         self._lead = np.shape(seed)
-        self._seed = np.array([int(s) & _MASK for s in np.ravel(seed)], dtype=np.uint64)
+        if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
+            self._seed = seed.reshape(-1)
+        else:
+            self._seed = np.array([int(s) & _MASK for s in np.ravel(seed)], dtype=np.uint64)
         self._cursor = np.zeros(self._seed.size, dtype=np.uint64)
 
     def _words(self, n: int) -> np.ndarray:
         start = self._cursor
         self._cursor = start + np.uint64(n)
-        idx = start[:, None] + np.arange(1, n + 1, dtype=np.uint64)
+        z = start[:, None] + np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _mix64(self._seed[:, None] + idx * _GAMMA).reshape(self._lead + (n,))
+            z *= _GAMMA
+            z += self._seed[:, None]
+            return _mix64(z).reshape(self._lead + (n,))
 
     def uniform_open(self, n: int) -> np.ndarray:
         """n uniforms on the open-left interval (0, 1]."""
@@ -178,6 +197,15 @@ class SeededStream:
         whose B B^T has the eigenvalues of complex Wishart(N, diag(t1, 1, ..., 1))."""
         g = self.standard_gamma(np.concatenate([N - np.arange(K), np.arange(K - 1, 0, -1)]))
         g[..., 0] *= t1
+        return g
+
+    def noncentral_bidiagonal(self, K: int, N: int, s) -> np.ndarray:
+        """Squared entries of a lower-bidiagonal B, laid out as ``wishart_bidiagonal``'s,
+        whose B B^T has the eigenvalues of X X^H for a K x N X of unit complex normals but
+        for the real mean ``s`` (one per row of the stream) of its entry (0, 0)."""
+        g = self.standard_gamma(np.concatenate([[N - 1], N - np.arange(1, K),
+                                                np.arange(K - 1, 0, -1)]))
+        g[..., 0] += np.abs(s + self.standard_complex_normal(())) ** 2
         return g
 
 

@@ -16,9 +16,9 @@ stream itself):
   ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
   ``seed XOR mix(p)``;
 * the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
-  real bidiagonal ``B`` for a noise-only or one-source Gaussian batch;
-  otherwise one Bartlett factor ``L`` of Wishart(N, I_{K+P}), and for
-  non-Gaussian sources the unit-power signal matrix ``Z`` from
+  real bidiagonal ``B`` for a noise-only or one-source batch, otherwise one
+  Bartlett factor ``L`` of Wishart(N, I_{K+P}); for non-Gaussian sources it
+  also draws the unit-power signal matrix ``Z`` from
   ``trial_seed XOR SIGNAL_TAG``;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
@@ -41,7 +41,11 @@ With no source, or one Gaussian source, the law depends only on the spike
 t1 = 1 + sigma^2 ||h||^2 / sigma_v^2 (a redrawn channel keeps ||h||): the
 eigenvalues of X X^H are those of B B^T with B's 2K - 1 chi entries and its
 first one scaled by sqrt(t1) (Dumitriu & Edelman 2002; Bloemendal & Virag
-2013), so these batches take lambda_min and lambda_max of the tridiagonal
+2013).  One source z of another modulation enters only through ||z||:
+rotating C^K onto h and the samples onto z leaves Y / sigma_v white but for
+the mean s = sigma ||h|| ||z|| / sigma_v of its entry (0, 0), so B keeps its
+entries but for x_0^2 = |s + g|^2 + Gamma(N - 1), g a unit complex normal.
+These batches take lambda_min and lambda_max of the tridiagonal
 sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
 Wishart is the default; ``"direct"`` alone reproduces a seeded result
 recorded before the Wishart sampler covered the batch.
@@ -330,7 +334,8 @@ def run_trials(
 def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     """The batch's route, as ``(draw, draw_bytes)``: ``draw(trial_seeds) -> (lambda_min,
     lambda_max)`` gives one entry per trial seed, and about ``draw_bytes`` of draws per trial
-    set the chunk size."""
+    set the chunk size.  ``"wishart"`` bisects B B^T for at most one source (drawing its
+    source rows in blocks of about ``_CHUNK_BYTES``) and factors W L for more."""
     K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
@@ -355,12 +360,26 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
         return draw, 16 * (K + design.P) * N
 
     scale = sigma_v2 / N
-    if scenario is None or (P == 1 and scenario.modulation is Modulation.GAUSSIAN):
-        # the law depends on the scenario only through t1, which a redrawn channel keeps
-        t1 = 1.0 if scenario is None else 1.0 + sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
+    if P <= 1:
+        # the law depends on the channel only through sigma^2 ||h||^2, which a redrawn one keeps
+        spike = 0.0 if scenario is None else sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
+        if scenario is None or scenario.modulation is Modulation.GAUSSIAN:
+            def bidiagonal(seeds):
+                return SeededStream(seeds ^ WISHART_TAG).wishart_bidiagonal(K, N, 1.0 + spike)
+        else:
+            sub = max(1, _CHUNK_BYTES // (16 * N))  # trials per block of source rows
+
+            def bidiagonal(seeds):
+                norm2 = np.concatenate([
+                    np.sum(np.abs(gen_signal(1, N, scenario.modulation, [1.0],
+                                             seeds[lo : lo + sub] ^ SIGNAL_TAG)) ** 2,
+                           axis=(-2, -1))
+                    for lo in range(0, seeds.size, sub)])
+                stream = SeededStream(seeds ^ WISHART_TAG)
+                return stream.noncentral_bidiagonal(K, N, np.sqrt(spike * norm2))
 
         def draw(seeds):
-            g = SeededStream(seeds ^ WISHART_TAG).wishart_bidiagonal(K, N, t1)
+            g = bidiagonal(seeds)
             x2, y2 = g[:, :K], g[:, K:]
             diag = x2.copy()
             diag[:, 1:] += y2

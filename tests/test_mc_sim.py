@@ -292,12 +292,13 @@ def test_batch_redraw_channel_changes_trials_but_stays_seeded():
     b3 = run_trials(d, sc, trials=30, seed=9, redraw_channel=False)
     assert np.array_equal(b1.t_stat, b2.t_stat)
     assert not np.array_equal(b1.t_stat, b3.t_stat)
-    # one Gaussian source: a redrawn channel keeps ||h||, so t1 and the law, and the
+    # one source of any modulation: a redrawn channel keeps ||h||, so the law, and the
     # tridiagonal route draws nothing else, so the batch is the fixed-channel one
-    sc = scenario_from_snr(10, 0.5, seed=3)
     d = DetectorDesign(10, 100, 1)
-    assert np.array_equal(run_trials(d, sc, trials=30, seed=9, redraw_channel=True).t_stat,
-                          run_trials(d, sc, trials=30, seed=9).t_stat)
+    for modulation in ("gaussian", "qpsk", "qpsk_srrc"):
+        sc = scenario_from_snr(10, 0.5, modulation=modulation, seed=3)
+        assert np.array_equal(run_trials(d, sc, trials=30, seed=9, redraw_channel=True).t_stat,
+                              run_trials(d, sc, trials=30, seed=9).t_stat)
 
 
 def test_batch_scenario_design_mismatch():
@@ -319,14 +320,18 @@ def _eigvalsh_stacks(monkeypatch):
 
 
 def _bidiagonal_draws(monkeypatch):
-    """Keep every array SeededStream.wishart_bidiagonal draws, in call order."""
-    real, draws = SeededStream.wishart_bidiagonal, []
+    """Keep every array SeededStream.wishart_bidiagonal or .noncentral_bidiagonal draws, in
+    call order."""
+    draws = []
 
-    def record(self, *args):
-        draws.append(real(self, *args))
-        return draws[-1]
+    def recorder(real):
+        def record(self, *args):
+            draws.append(real(self, *args))
+            return draws[-1]
+        return record
 
-    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", record)
+    for name in ("wishart_bidiagonal", "noncentral_bidiagonal"):
+        monkeypatch.setattr(SeededStream, name, recorder(getattr(SeededStream, name)))
     return draws
 
 
@@ -353,12 +358,14 @@ def _flaky_eigvalsh(monkeypatch, failing):
 
 def _eigvalsh_batches():
     """(design, scenario, sampler) at K=8, N=64 for batches whose trials factor a Gram matrix
-    with np.linalg.eigvalsh: noise only on "direct", QPSK on both samplers, two Gaussian
-    sources on "wishart".  Noise-only and one-source Gaussian Wishart batches bisect a
+    with np.linalg.eigvalsh: noise only and one QPSK source on "direct", two QPSK and two
+    Gaussian sources on "wishart".  Noise-only and one-source Wishart batches bisect a
     tridiagonal instead, and a bisection raises no LinAlgError."""
     qpsk = scenario_from_snr(8, 0.5, modulation="qpsk", seed=2)
+    qpsk2 = scenario_from_component_snrs(8, (0.3, 0.2), modulation="qpsk", seed=2)
     gauss2 = scenario_from_component_snrs(8, (0.3, 0.2), seed=2)
-    for sc, sampler in ((None, "direct"), (qpsk, "direct"), (qpsk, "wishart"), (gauss2, "wishart")):
+    for sc, sampler in ((None, "direct"), (qpsk, "direct"), (qpsk2, "wishart"),
+                        (gauss2, "wishart")):
         yield DetectorDesign(8, 64, 1 if sc is None else sc.P), sc, sampler
 
 
@@ -387,7 +394,8 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
     d = DetectorDesign(8, 64, 1)
-    for sc in (None, scenario_from_snr(8, 0.5, seed=2)):
+    for sc in (None, *(scenario_from_snr(8, 0.5, modulation=m, seed=2)
+                       for m in ("gaussian",) + EQ_MODULATIONS)):
         assert run_trials(d, sc, trials=10, seed=21).retries == 0
 
 
@@ -418,14 +426,14 @@ BATCH_PINS = {
         "bc89892f9c62cf738084b16bfd75fed6ff1f4bd12bce724ff9c256dff86789e0"),
     "p2_redraw": ((1, 156, 157, 158, 317),
         "24670c7168a25f3cc544914711e5559eccb04c6cc70502a770006a4aeb3f93c8"),
-    "qpsk/p1_fixed": ((1, 239, 240, 241, 483),
-        "d5a5fb44a1972810cd3bfae23f014228de58f5dda954268ebd2ceda13559407f"),
-    "qpsk_srrc/p1_fixed": ((1, 239, 240, 241, 483),
-        "12566c7737a372668693e40b00a749239d7337aba0e4ec601d9470c735393840"),
-    "psk_noncoherent/p1_fixed": ((1, 239, 240, 241, 483),
-        "18af11f859621db7deeecde86de10f3d0475c8be9658335137efeba93b93345f"),
-    "uniform_complex/p1_fixed": ((1, 239, 240, 241, 483),
-        "6f0c75f3ab4bf0e7e1a4306edc7c301bc248b9437a3e622e47d97f5d59222053"),
+    "qpsk/p1_fixed": ((1, 4368, 4369, 4370, 8741),
+        "33df26cceb136bdbbb57bc68306576e5f7457dbcd197d12054b4fff412373488"),
+    "qpsk_srrc/p1_fixed": ((1, 4368, 4369, 4370, 8741),
+        "925a9fdcb36f5d35c9325a63b6e844650f53b893e0d19bbcd26e887d77aa44f4"),
+    "psk_noncoherent/p1_fixed": ((1, 4368, 4369, 4370, 8741),
+        "ef0b057330e2c94de207b394cb18884ae09332cc7a1bf6d3a035c12dedbde460"),
+    "uniform_complex/p1_fixed": ((1, 4368, 4369, 4370, 8741),
+        "c6f320773763f132b0477cdd667ec9ecb4a69dd8b7d1ef87e71235f10ec69770"),
     "qpsk/p2_redraw": ((1, 156, 157, 158, 317),
         "847b7fe3d7b5020b2246a20dbcff0ecbeca7b968f5086d42340056b770032ace"),
     "h0@direct": ((1, 55, 56, 57, 115),
@@ -531,10 +539,10 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
 # batches on seed 101, Wishart batches on seed 202 (distinct, so a redrawn channel
 # is independent across the two), scenario channels on seed 7, and a two-sample KS
 # test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.  Each
-# non-Gaussian modulation has a one-source case with a fixed channel and a
+# non-Gaussian modulation has one-source cases with a fixed and a redrawn channel and a
 # two-source case with a redrawn channel.  Two "wide/" cases run at (K=9, N=10),
 # declared with the rest, where K + P > N and the Bartlett factor is trapezoidal.
-# The noise-only and one-source Gaussian cases (EQ_TRIDIAGONAL) draw a bidiagonal, not a
+# The noise-only and one-source cases (EQ_TRIDIAGONAL) draw a bidiagonal, not a
 # Bartlett factor, so their broken-model controls are a wrong bidiagonal.
 
 EQ_DESIGN_KN = (10, 100)
@@ -543,9 +551,9 @@ EQ_TRIALS = 2000
 EQ_SEEDS = {"direct": 101, "wishart": 202}
 EQ_ALPHA = 1e-3
 EQ_MODULATIONS = ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex")
-EQ_NON_GAUSSIAN = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p2_redraw"))
-EQ_TRIDIAGONAL = ("h0", "p1_fixed", "p1_redraw")
-EQ_BARTLETT = ("p2_fixed", "p2_redraw") + EQ_NON_GAUSSIAN
+EQ_NON_CENTRAL = tuple(f"{m}/{c}" for m in EQ_MODULATIONS for c in ("p1_fixed", "p1_redraw"))
+EQ_TRIDIAGONAL = ("h0", "p1_fixed", "p1_redraw") + EQ_NON_CENTRAL
+EQ_BARTLETT = ("p2_fixed", "p2_redraw") + tuple(f"{m}/p2_redraw" for m in EQ_MODULATIONS)
 EQ_CASES = EQ_TRIDIAGONAL + EQ_BARTLETT
 EQ_WIDE_CASES = ("wide/p2_fixed", "wide/qpsk/p2_redraw")
 
@@ -663,17 +671,43 @@ def _spike_on_last(self, K, N, t1):
     return g
 
 
+# the contract's draw, kept before a control replaces it
+_NONCENTRAL = SeededStream.noncentral_bidiagonal
+
+
+def _dropped_signal(self, K, N, s):
+    # the signal term left out of x_0^2: |g|^2 + Gamma(N - 1)
+    return _NONCENTRAL(self, K, N, np.zeros_like(s))
+
+
+def _signal_on_last(self, K, N, s):
+    # the signal term on x_{K-1} instead of x_0: x_0^2 ~ Gamma(N), and x_{K-1}^2 is
+    # |s + g|^2 + Gamma(N - K)
+    shapes = _bidiagonal_shapes(K, N)
+    shapes[K - 1] -= 1
+    g = self.standard_gamma(shapes)
+    g[..., K - 1] += np.abs(s + self.standard_complex_normal(())) ** 2
+    return g
+
+
 # a spike moved under noise only (t1 = 1) changes nothing, so it has no h0 case
-@pytest.mark.parametrize("wrong, case", [(_wrong_degrees, case) for case in EQ_TRIDIAGONAL]
-                         + [(_spike_on_last, case) for case in EQ_TRIDIAGONAL[1:]])
+@pytest.mark.parametrize(
+    "wrong, case",
+    [(_wrong_degrees, case) for case in ("h0", "p1_fixed", "p1_redraw")]
+    + [(_spike_on_last, case) for case in ("p1_fixed", "p1_redraw")]
+    + [(wrong, case) for wrong in (_dropped_signal, _signal_on_last)
+       for case in EQ_NON_CENTRAL])
 def test_sampler_equivalence_rejects_a_wrong_bidiagonal(monkeypatch, wrong, case):
-    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", wrong)
+    noncentral = wrong in (_dropped_signal, _signal_on_last)
+    monkeypatch.setattr(SeededStream, "noncentral_bidiagonal" if noncentral
+                        else "wishart_bidiagonal", wrong)
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
 
 def test_sampler_choice_follows_the_modulation():
-    # every modulation shares the factor of K + P, so the default is wishart for all of them
+    # every modulation has a Wishart route (the bidiagonal for one source, the factor of
+    # K + P for more), so the default is wishart for all of them
     d = DetectorDesign(6, 40, 1)
     gauss = scenario_from_snr(6, 0.5, seed=1)
     qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
@@ -770,8 +804,10 @@ class _RefStream:
 # lower-trapezoidal
 CONTRACT_CASES = (("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
                   ("gaussian/fixed", 10), ("qpsk/redraw", 10))
-# (case, N) on the tridiagonal route: noise only, and one Gaussian source
-TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40))
+# (case, N) on the tridiagonal route: noise only, one Gaussian source, and one QPSK and one
+# uniform source on the non-central bidiagonal
+TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40), ("qpsk/p1", 40),
+                              ("uniform_complex/p1", 40))
 
 
 def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
@@ -825,22 +861,37 @@ def _tridiagonal_of(x2, y2):
 
 
 def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma_v2=1.5):
-    """A Wishart batch at K=9 on the tridiagonal route (one source of power 2 for "p1"), the
-    gammas it drew, and both rebuilt from the documented contract: 2K - 1 gammas of shapes
-    N, ..., N-K+1, K-1, ..., 1, the first times t1 = 1 + sigma^2 ||h||^2 / sigma_v2, are the
-    squared diagonal and sub-diagonal of B, and the extremes are those of
-    sigma_v2 B B^T / N."""
-    K, sc, t1 = 9, None, 1.0
+    """A Wishart batch at K=9 on the tridiagonal route (one source of power 2 for "p1", of
+    the modulation before the "/"), the squared entries of B it drew, and both rebuilt from
+    the documented contract: 2K - 1 gammas of shapes N, ..., N-K+1, K-1, ..., 1, the first
+    times t1 = 1 + sigma^2 ||h||^2 / sigma_v2, are the squared diagonal and sub-diagonal of
+    B; for a non-Gaussian source the first shape is N - 1, and the first entry gains
+    |s + g|^2 for the complex normal g drawn next and s = sigma ||h|| ||z|| / sigma_v, with z
+    the unit-power source row; the extremes are those of sigma_v2 B B^T / N."""
+    K, sc, spike = 9, None, 0.0
+    modulation, _, case = case.rpartition("/")
     if case == "p1":
         h = scenario_from_snr(K, 0.4, sigma_v2=sigma_v2, seed=5).H
-        sc, t1 = Scenario(h, [2.0], sigma_v2), 1.0 + 2.0 * np.sum(np.abs(h) ** 2) / sigma_v2
+        sc = Scenario(h, [2.0], sigma_v2, modulation or "gaussian")
+        spike = 2.0 * np.sum(np.abs(h) ** 2) / sigma_v2
     drawn = _bidiagonal_draws(monkeypatch)
     batch = run_trials(DetectorDesign(K, N, 1), sc, trials=trials, seed=seed, sigma_v2=sigma_v2)
     monkeypatch.undo()
     shapes = [N - i for i in range(K)] + [K - 1 - i for i in range(K - 1)]
-    gammas = np.array([_RefStream(trial_seed(seed, i) ^ WISHART_TAG).gammas(shapes)
-                       for i in range(trials)])
-    gammas[:, 0] *= t1
+    gammas = []
+    for i in range(trials):
+        ts = trial_seed(seed, i)
+        stream = _RefStream(ts ^ WISHART_TAG)
+        if not modulation:
+            g = stream.gammas(shapes)
+            g[0] *= 1.0 + spike
+        else:
+            z = gen_signal(1, N, modulation, [1.0], ts ^ SIGNAL_TAG)
+            g = stream.gammas([N - 1] + shapes[1:])
+            s = np.sqrt(spike * np.sum(np.abs(z) ** 2))
+            g[0] += np.abs(s + stream.complex_normals(1)[0]) ** 2
+        gammas.append(g)
+    gammas = np.array(gammas)
     w = np.linalg.eigvalsh(_dense_tridiagonal(*_tridiagonal_of(gammas[:, :K], gammas[:, K:])))
     w *= sigma_v2 / N
     return batch, np.concatenate(drawn), gammas, (w[:, 0], w[:, -1])
