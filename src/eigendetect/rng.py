@@ -36,26 +36,18 @@ stream may change between releases:
   ``L L^H`` complex Wishart(N, I_K), the law of ``Z Z^H`` for a K x N
   matrix ``Z = L Q`` of unit complex normals (Dumitriu & Edelman 2002;
   for K > N the singular Wishart, Srivastava 2003).  The simulator draws
-  one of size K + P (P sources) from ``trial_seed XOR WISHART_TAG`` only for
-  two or more sources; batches with fewer draw none (see
-  :mod:`eigendetect.simulate`).
+  one of size K + P from ``trial_seed XOR WISHART_TAG`` for P >= 2 sources.
 * Wishart bidiagonals (K < N).  One gamma draw of the 2K - 1 shapes
-  ``N, N-1, ..., N-K+1, K-1, K-2, ..., 1``: the squared diagonal
-  ``x_0^2 .. x_{K-1}^2`` then the squared sub-diagonal ``y_0^2 .. y_{K-2}^2``
-  of a real lower-bidiagonal ``B``, and ``x_0^2`` is then multiplied by the
-  spike ``t1``.  ``B B^T`` has the eigenvalues of complex
-  Wishart(N, diag(t1, 1, ..., 1)) (Dumitriu & Edelman 2002; a rank-one
-  spike scales only the first row's norm, Bloemendal & Virag 2013).  The
-  simulator draws it from ``trial_seed XOR WISHART_TAG`` for noise-only
-  (t1 = 1) and one-source Gaussian batches.
-* Non-central Wishart bidiagonals (K < N).  One gamma draw of the shapes
-  above with the first lowered to ``N-1``, then one complex normal ``g``,
-  and ``x_0^2`` gains ``|s + g|^2``.  ``B B^T`` has the eigenvalues of
-  ``X X^H`` for X of unit complex normals but for the real mean ``s`` of
-  its entry (0, 0), whose row then has squared norm ``|s + g|^2 +
-  Gamma(N-1)``.  The simulator draws it from ``trial_seed XOR WISHART_TAG``
-  for one non-Gaussian source, with ``s = sigma ||h|| ||z|| / sigma_v``
-  for the trial's unit-power source row ``z``.
+  ``N-1, N-1, N-2, ..., N-K+1, K-1, K-2, ..., 1``, then one complex normal
+  ``g``: the squared diagonal ``x_0^2 .. x_{K-1}^2`` then the squared
+  sub-diagonal ``y_0^2 .. y_{K-2}^2`` of a real lower-bidiagonal ``B``, and
+  ``x_0^2`` gains ``|s + g|^2``.  ``B B^T`` has the eigenvalues of ``X X^H``
+  for a K x N X of unit complex normals but for the real mean ``s`` of its
+  entry (0, 0), whose row then has squared norm ``|s + g|^2 + Gamma(N-1)``
+  (Dumitriu & Edelman 2002; a rank-one signal moves only the first row,
+  Bloemendal & Virag 2013).  The simulator draws it from
+  ``trial_seed XOR WISHART_TAG`` for at most one source: s = 0 for none, and
+  ``s = sigma ||h|| ||z|| / sigma_v`` for a unit-power source row ``z``.
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
@@ -79,7 +71,6 @@ from .errors import DomainError
 
 __all__ = ["mix", "SeededStream"]
 
-_MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -105,7 +96,7 @@ def _mix64(z):
 def mix(counter):
     """64-bit hash of a small counter, for deriving child seeds; an integer array of counters
     gives the uint64 array of their hashes."""
-    word = np.array(counter & _MASK if isinstance(counter, int) else counter, np.uint64)
+    word = np.array(counter, np.uint64)
     with np.errstate(over="ignore"):
         word += _ONE
         word *= _GAMMA
@@ -119,10 +110,7 @@ class SeededStream:
 
     def __init__(self, seed):
         self._lead = np.shape(seed)
-        if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
-            self._seed = seed.reshape(-1)
-        else:
-            self._seed = np.array([int(s) & _MASK for s in np.ravel(seed)], dtype=np.uint64)
+        self._seed = np.asarray(seed, dtype=np.uint64).reshape(-1)
         self._cursor = np.zeros(self._seed.size, dtype=np.uint64)
 
     def _words(self, n: int) -> np.ndarray:
@@ -192,15 +180,8 @@ class SeededStream:
         flat[:, : m * m : m + 1] = np.sqrt(self.standard_gamma(N - np.arange(m)))
         return L.reshape(self._lead + (K, m))
 
-    def wishart_bidiagonal(self, K: int, N: int, t1: float) -> np.ndarray:
+    def wishart_bidiagonal(self, K: int, N: int, s) -> np.ndarray:
         """Squared entries ``[x_0^2..x_{K-1}^2, y_0^2..y_{K-2}^2]`` of a lower-bidiagonal B
-        whose B B^T has the eigenvalues of complex Wishart(N, diag(t1, 1, ..., 1))."""
-        g = self.standard_gamma(np.concatenate([N - np.arange(K), np.arange(K - 1, 0, -1)]))
-        g[..., 0] *= t1
-        return g
-
-    def noncentral_bidiagonal(self, K: int, N: int, s) -> np.ndarray:
-        """Squared entries of a lower-bidiagonal B, laid out as ``wishart_bidiagonal``'s,
         whose B B^T has the eigenvalues of X X^H for a K x N X of unit complex normals but
         for the real mean ``s`` (one per row of the stream) of its entry (0, 0)."""
         g = self.standard_gamma(np.concatenate([[N - 1], N - np.arange(1, K),

@@ -17,9 +17,9 @@ stream itself):
   ``seed XOR mix(p)``;
 * the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
   real bidiagonal ``B`` for a noise-only or one-source batch, otherwise one
-  Bartlett factor ``L`` of Wishart(N, I_{K+P}); for non-Gaussian sources it
-  also draws the unit-power signal matrix ``Z`` from
-  ``trial_seed XOR SIGNAL_TAG``;
+  Bartlett factor ``L`` of Wishart(N, I_{K+P}); from ``trial_seed XOR
+  SIGNAL_TAG`` it draws the unit-power signal matrix ``Z`` of non-Gaussian
+  sources, and ``||z||^2`` (one Gamma(N)) of one Gaussian source;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: a chunk's trial seeds are one ``trial_seed`` call
@@ -37,14 +37,13 @@ sigma_v2 (W L)(W L)^H / N without forming Y.  For other sources Z = R^H Q^H
 (R is P x P, from the QR of Z^H); a unitary rotation of the samples whose
 first P columns are Q leaves V white, so the same holds with L's leading
 P x P block replaced by R^H (for K + P > N, L is (K + P) x N, lower-trapezoidal).
-With no source, or one Gaussian source, the law depends only on the spike
-t1 = 1 + sigma^2 ||h||^2 / sigma_v^2 (a redrawn channel keeps ||h||): the
-eigenvalues of X X^H are those of B B^T with B's 2K - 1 chi entries and its
-first one scaled by sqrt(t1) (Dumitriu & Edelman 2002; Bloemendal & Virag
-2013).  One source z of another modulation enters only through ||z||:
-rotating C^K onto h and the samples onto z leaves Y / sigma_v white but for
-the mean s = sigma ||h|| ||z|| / sigma_v of its entry (0, 0), so B keeps its
-entries but for x_0^2 = |s + g|^2 + Gamma(N - 1), g a unit complex normal.
+With at most one source z, rotating C^K onto h and the samples onto z
+leaves Y / sigma_v white but for the mean s = sigma ||h|| ||z|| / sigma_v of
+its entry (0, 0) (s = 0 under noise only; a redrawn channel keeps ||h||), so
+Y Y^H / sigma_v^2 has the eigenvalues of B B^T for a real bidiagonal B of
+2K - 1 chi entries whose first squared entry is |s + g|^2 + Gamma(N - 1), g a
+unit complex normal (Dumitriu & Edelman 2002; Bloemendal & Virag 2013).  The
+source enters only through ||z||^2, for a Gaussian row one Gamma(N) draw.
 These batches take lambda_min and lambda_max of the tridiagonal
 sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
 Wishart is the default; ``"direct"`` alone reproduces a seeded result
@@ -363,23 +362,22 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     if P <= 1:
         # the law depends on the channel only through sigma^2 ||h||^2, which a redrawn one keeps
         spike = 0.0 if scenario is None else sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
-        if scenario is None or scenario.modulation is Modulation.GAUSSIAN:
-            def bidiagonal(seeds):
-                return SeededStream(seeds ^ WISHART_TAG).wishart_bidiagonal(K, N, 1.0 + spike)
-        else:
-            sub = max(1, _CHUNK_BYTES // (16 * N))  # trials per block of source rows
+        sub = max(1, _CHUNK_BYTES // (16 * N))  # trials per block of source rows
 
-            def bidiagonal(seeds):
-                norm2 = np.concatenate([
-                    np.sum(np.abs(gen_signal(1, N, scenario.modulation, [1.0],
-                                             seeds[lo : lo + sub] ^ SIGNAL_TAG)) ** 2,
-                           axis=(-2, -1))
-                    for lo in range(0, seeds.size, sub)])
-                stream = SeededStream(seeds ^ WISHART_TAG)
-                return stream.noncentral_bidiagonal(K, N, np.sqrt(spike * norm2))
+        def norm2(seeds):
+            """||z||^2 of each trial's unit-power source row z."""
+            if scenario is None:
+                return 0.0
+            if scenario.modulation is Modulation.GAUSSIAN:
+                return SeededStream(seeds ^ SIGNAL_TAG).standard_gamma([N])[:, 0]
+            return np.concatenate([
+                np.sum(np.abs(gen_signal(1, N, scenario.modulation, [1.0],
+                                         seeds[lo : lo + sub] ^ SIGNAL_TAG)) ** 2, axis=(-2, -1))
+                for lo in range(0, seeds.size, sub)])
 
         def draw(seeds):
-            g = bidiagonal(seeds)
+            stream = SeededStream(seeds ^ WISHART_TAG)
+            g = stream.wishart_bidiagonal(K, N, np.sqrt(spike * norm2(seeds)))
             x2, y2 = g[:, :K], g[:, K:]
             diag = x2.copy()
             diag[:, 1:] += y2

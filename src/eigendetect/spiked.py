@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -56,6 +57,11 @@ def _as_modulation(value) -> Modulation:
         raise DomainError(f"unknown modulation {value!r}; expected one of: {names}") from None
 
 
+def _integers(*values) -> bool:
+    """K, N and P are counts: numpy integers pass, bools and floats do not."""
+    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+
+
 @dataclass(frozen=True)
 class DetectorDesign:
     """Sensing geometry: K receivers, N samples, P assumed sources.
@@ -70,6 +76,8 @@ class DetectorDesign:
     P: int = 1
 
     def __post_init__(self):
+        if not _integers(self.K, self.N, self.P):
+            raise DomainError("DetectorDesign: K, N and P must be integers")
         if not (self.K >= 2 and 1 <= self.N <= sys.float_info.max):
             raise DomainError("DetectorDesign: K >= 2 and N >= 1 required, N within float range")
         if self.K >= self.N:
@@ -251,9 +259,9 @@ def critical_snr(design, n: int | None = None) -> float:
     if n is None:
         K, N = design.K, design.N
     else:
+        if not (_integers(design, n) and design >= 1 and n >= 1):
+            raise DomainError("critical_snr: K and N must be positive integers")
         K, N = int(design), int(n)
-        if K < 1 or N < 1:
-            raise DomainError("critical_snr: K and N must be positive")
     try:
         return 1.0 / math.sqrt(K * N)
     except OverflowError:
@@ -302,8 +310,10 @@ def _read_scenario(source) -> tuple[Scenario, DetectorDesign]:
     else:
         doc = dict(source)
 
-    K = int(doc["K"])
-    N = int(doc["N"])
+    K, N = int(doc["K"]), int(doc["N"])  # int() rejects NaN, inf and null
+    if (K, N) != (doc["K"], doc["N"]):
+        raise DomainError(f"scenario JSON: K and N must be whole numbers, not "
+                          f"{doc['K']!r} and {doc['N']!r}")
     sigma_v2 = float(doc.get("sigma_v2", 1.0))
     modulation = _as_modulation(doc.get("modulation", "gaussian"))
 

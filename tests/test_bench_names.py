@@ -41,3 +41,13 @@ def test_tracer_wraps_the_workload_calls():
     # scenario_from_snr reaches its wrapped multi-source form
     assert tracer.stat("spiked.scenario").calls == 3
     assert all(simulate.__dict__[name] is fn for name, fn in originals.items())
+
+
+def test_law_caches_the_traced_run_reads():
+    # bench/run.py reads these through getattr(..., None) and skips a missing one, so a
+    # rename would drop the law-cache metrics without an error
+    for name in ("_h0_law", "_h1_law"):
+        law = getattr(performance, name)
+        assert callable(law.cache_info) and callable(law.cache_clear), name
+        law.cache_clear()
+        assert law.cache_info().currsize == 0

@@ -98,9 +98,11 @@ STREAM_CALLS = st.one_of(
               st.tuples(st.lists(st.floats(1.0, 1.5), min_size=1, max_size=8))),
     st.tuples(st.just("wishart_factor"),
               st.integers(1, 5).flatmap(lambda K: st.tuples(st.just(K), st.integers(K, 12)))),
+    # s = 0 (noise only) and s > 0: the gammas, then the trailing complex normal
     st.tuples(st.just("wishart_bidiagonal"),
-              st.integers(2, 5).flatmap(lambda K: st.tuples(st.just(K), st.integers(K + 1, 12),
-                                                            st.floats(1.0, 10.0)))),
+              st.integers(2, 5).flatmap(lambda K: st.tuples(
+                  st.just(K), st.integers(K + 1, 12),
+                  st.one_of(st.just(0.0), st.floats(0.1, 10.0))))),
 )
 
 
@@ -320,18 +322,14 @@ def _eigvalsh_stacks(monkeypatch):
 
 
 def _bidiagonal_draws(monkeypatch):
-    """Keep every array SeededStream.wishart_bidiagonal or .noncentral_bidiagonal draws, in
-    call order."""
-    draws = []
+    """Keep every array SeededStream.wishart_bidiagonal draws, in call order."""
+    real, draws = SeededStream.wishart_bidiagonal, []
 
-    def recorder(real):
-        def record(self, *args):
-            draws.append(real(self, *args))
-            return draws[-1]
-        return record
+    def record(self, *args):
+        draws.append(real(self, *args))
+        return draws[-1]
 
-    for name in ("wishart_bidiagonal", "noncentral_bidiagonal"):
-        monkeypatch.setattr(SeededStream, name, recorder(getattr(SeededStream, name)))
+    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", record)
     return draws
 
 
@@ -419,9 +417,9 @@ def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
 # the chunk size c of each case.
 BATCH_PINS = {
     "h0": ((1, 4368, 4369, 4370, 8741),
-        "679bf3593e9fdfb8e0080eba9faab21165859976d4ea9d90ce4e8d718275a34f"),
+        "3b6a295767a0809ec169a6482f6949a2927c9281b98c50658f1f19dc19685b44"),
     "p1_fixed": ((1, 4368, 4369, 4370, 8741),
-        "c103e2fa4a807657c1e93c4dd9379768592b01e01808cc148fd2189be970e025"),
+        "bf7e627c22ddbf6f77c536fc713b614202fb715e8a8def171667f4a90ac21c7e"),
     "p2_fixed": ((1, 156, 157, 158, 317),
         "bc89892f9c62cf738084b16bfd75fed6ff1f4bd12bce724ff9c256dff86789e0"),
     "p2_redraw": ((1, 156, 157, 158, 317),
@@ -522,6 +520,10 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
         with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
             call(seed)
     monkeypatch.undo()
+    # the stream itself takes a seed as a uint64 word, so these raise there too
+    for seed in (-1, 2 ** 64 + 5, [3, -1], [2 ** 64]):
+        with pytest.raises(OverflowError):
+            SeededStream(seed)
     top = run_trials(d, None, trials=3, seed=np.uint64(2 ** 64 - 1))
     assert top.seed == 2 ** 64 - 1
     assert np.array_equal(top.t_stat, run_trials(d, None, trials=3, seed=2 ** 64 - 1).t_stat)
@@ -654,53 +656,45 @@ def test_sampler_equivalence_rejects_a_dropped_noise_block(monkeypatch, case):
 
 
 def _bidiagonal_shapes(K, N):
-    return np.concatenate([N - np.arange(K), np.arange(K - 1, 0, -1)])
+    """The contract's gamma shapes: N - 1, N - 1, N - 2, ..., N - K + 1, K - 1, ..., 1."""
+    return np.concatenate([[N - 1], N - np.arange(1, K), np.arange(K - 1, 0, -1)])
 
 
-def _wrong_degrees(self, K, N, t1):
-    # diagonal chi degrees one above the contract's: shapes N - i + 1
+def _wrong_degrees(self, K, N, s):
+    # diagonal gamma shapes one above the contract's, so x_0^2 ~ Gamma(N + 1) at s = 0
     g = self.standard_gamma(_bidiagonal_shapes(K, N) + (np.arange(2 * K - 1) < K))
-    g[..., 0] *= t1
-    return g
-
-
-def _spike_on_last(self, K, N, t1):
-    # the spike on x_{K-1} instead of x_0
-    g = self.standard_gamma(_bidiagonal_shapes(K, N))
-    g[..., K - 1] *= t1
+    g[..., 0] += np.abs(s + self.standard_complex_normal(())) ** 2
     return g
 
 
 # the contract's draw, kept before a control replaces it
-_NONCENTRAL = SeededStream.noncentral_bidiagonal
+_BIDIAGONAL = SeededStream.wishart_bidiagonal
 
 
 def _dropped_signal(self, K, N, s):
     # the signal term left out of x_0^2: |g|^2 + Gamma(N - 1)
-    return _NONCENTRAL(self, K, N, np.zeros_like(s))
+    return _BIDIAGONAL(self, K, N, np.zeros_like(s))
 
 
 def _signal_on_last(self, K, N, s):
     # the signal term on x_{K-1} instead of x_0: x_0^2 ~ Gamma(N), and x_{K-1}^2 is
     # |s + g|^2 + Gamma(N - K)
     shapes = _bidiagonal_shapes(K, N)
-    shapes[K - 1] -= 1
+    shapes[[0, K - 1]] += (1, -1)
     g = self.standard_gamma(shapes)
     g[..., K - 1] += np.abs(s + self.standard_complex_normal(())) ** 2
     return g
 
 
-# a spike moved under noise only (t1 = 1) changes nothing, so it has no h0 case
+# a signal term moved or dropped under noise only (s = 0) leaves the law as it is, so those
+# controls have no h0 case
 @pytest.mark.parametrize(
     "wrong, case",
     [(_wrong_degrees, case) for case in ("h0", "p1_fixed", "p1_redraw")]
-    + [(_spike_on_last, case) for case in ("p1_fixed", "p1_redraw")]
     + [(wrong, case) for wrong in (_dropped_signal, _signal_on_last)
-       for case in EQ_NON_CENTRAL])
+       for case in ("p1_fixed", "p1_redraw") + EQ_NON_CENTRAL])
 def test_sampler_equivalence_rejects_a_wrong_bidiagonal(monkeypatch, wrong, case):
-    noncentral = wrong in (_dropped_signal, _signal_on_last)
-    monkeypatch.setattr(SeededStream, "noncentral_bidiagonal" if noncentral
-                        else "wishart_bidiagonal", wrong)
+    monkeypatch.setattr(SeededStream, "wishart_bidiagonal", wrong)
     p = _eq_pvalues(case)
     assert min(p.values()) < EQ_ALPHA, p
 
@@ -804,8 +798,8 @@ class _RefStream:
 # lower-trapezoidal
 CONTRACT_CASES = (("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
                   ("gaussian/fixed", 10), ("qpsk/redraw", 10))
-# (case, N) on the tridiagonal route: noise only, one Gaussian source, and one QPSK and one
-# uniform source on the non-central bidiagonal
+# (case, N) on the tridiagonal route: noise only, and one Gaussian, one QPSK and one uniform
+# source
 TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40), ("qpsk/p1", 40),
                               ("uniform_complex/p1", 40))
 
@@ -863,11 +857,11 @@ def _tridiagonal_of(x2, y2):
 def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma_v2=1.5):
     """A Wishart batch at K=9 on the tridiagonal route (one source of power 2 for "p1", of
     the modulation before the "/"), the squared entries of B it drew, and both rebuilt from
-    the documented contract: 2K - 1 gammas of shapes N, ..., N-K+1, K-1, ..., 1, the first
-    times t1 = 1 + sigma^2 ||h||^2 / sigma_v2, are the squared diagonal and sub-diagonal of
-    B; for a non-Gaussian source the first shape is N - 1, and the first entry gains
-    |s + g|^2 for the complex normal g drawn next and s = sigma ||h|| ||z|| / sigma_v, with z
-    the unit-power source row; the extremes are those of sigma_v2 B B^T / N."""
+    the documented contract: 2K - 1 gammas of shapes N-1, N-1, N-2, ..., N-K+1, K-1, ..., 1
+    are the squared diagonal and sub-diagonal of B, and the first entry gains |s + g|^2 for
+    the complex normal g drawn next and s = sigma ||h|| ||z|| / sigma_v (0 under noise only),
+    with ||z||^2 of the unit-power source row: one Gamma(N) from the signal stream for a
+    Gaussian source; the extremes are those of sigma_v2 B B^T / N."""
     K, sc, spike = 9, None, 0.0
     modulation, _, case = case.rpartition("/")
     if case == "p1":
@@ -877,19 +871,19 @@ def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma
     drawn = _bidiagonal_draws(monkeypatch)
     batch = run_trials(DetectorDesign(K, N, 1), sc, trials=trials, seed=seed, sigma_v2=sigma_v2)
     monkeypatch.undo()
-    shapes = [N - i for i in range(K)] + [K - 1 - i for i in range(K - 1)]
+    shapes = [N - 1] + [N - i for i in range(1, K)] + [K - 1 - i for i in range(K - 1)]
     gammas = []
     for i in range(trials):
         ts = trial_seed(seed, i)
-        stream = _RefStream(ts ^ WISHART_TAG)
-        if not modulation:
-            g = stream.gammas(shapes)
-            g[0] *= 1.0 + spike
+        if sc is None:
+            norm2 = 0.0
+        elif not modulation:
+            norm2 = _RefStream(ts ^ SIGNAL_TAG).gammas([N])[0]
         else:
-            z = gen_signal(1, N, modulation, [1.0], ts ^ SIGNAL_TAG)
-            g = stream.gammas([N - 1] + shapes[1:])
-            s = np.sqrt(spike * np.sum(np.abs(z) ** 2))
-            g[0] += np.abs(s + stream.complex_normals(1)[0]) ** 2
+            norm2 = np.sum(np.abs(gen_signal(1, N, modulation, [1.0], ts ^ SIGNAL_TAG)) ** 2)
+        stream = _RefStream(ts ^ WISHART_TAG)
+        g = stream.gammas(shapes)
+        g[0] += np.abs(np.sqrt(spike * norm2) + stream.complex_normals(1)[0]) ** 2
         gammas.append(g)
     gammas = np.array(gammas)
     w = np.linalg.eigvalsh(_dense_tridiagonal(*_tridiagonal_of(gammas[:, :K], gammas[:, K:])))
@@ -933,7 +927,8 @@ SOLVER_TRIALS = 200
 def test_tridiagonal_extremes_match_a_dense_eigensolver(K, N):
     seeds = np.array([trial_seed(17, i) for i in range(SOLVER_TRIALS)], dtype=np.uint64)
     for t1 in SOLVER_SPIKES:
-        g = SeededStream(seeds).wishart_bidiagonal(K, N, t1)
+        g = SeededStream(seeds).wishart_bidiagonal(K, N, 0.0)
+        g[:, 0] *= t1  # a Gaussian spike t1 scales the first row's squared norm
         diag, offsq = _tridiagonal_of(g[:, :K], g[:, K:])
         w = np.linalg.eigvalsh(_dense_tridiagonal(diag, offsq))
         lam_min, lam_max = _tridiagonal_extremes(diag, offsq)

@@ -44,6 +44,16 @@ def test_design_invariants():
         DetectorDesign(50, 1000, P=50)
     with pytest.raises(DomainError):
         DetectorDesign(50, 1000, P=0)
+    # K, N and P are counts: numpy integers pass; floats (even whole ones) and bools raise
+    assert DetectorDesign(np.int64(4), np.int32(40), np.uint8(2)) == DetectorDesign(4, 40, 2)
+    for K, N, P in ((2.5, 10.5, 1), (4, 40.5, 1), (3.5, 40, 1), (4.0, 40, 1), (True, 40, 1),
+                    (4, 40, True), (4, 40, 1.0), (4, "40", 1)):
+        with pytest.raises(DomainError, match="K, N and P must be integers"):
+            DetectorDesign(K, N, P)
+    for K, N in ((2.5, 10), (4, 40.5), (True, 10), (0, 10)):
+        with pytest.raises(DomainError, match="K and N must be positive integers"):
+            critical_snr(K, N)
+    assert critical_snr(np.int64(4), 100) == critical_snr(4, 100) == 0.05
 
 
 def test_scenario_validation():
@@ -258,6 +268,8 @@ def test_scenario_json_explicit(tmp_path):
 def test_scenario_json_snr_shortcut():
     sc, d = scenario_from_json({"K": 50, "N": 1000, "snr": 0.01, "sigma_v2": 3.0})
     assert d.P == 1
+    # a whole number written as a JSON float is the integer
+    assert scenario_from_json('{"K": 50.0, "N": 1e3, "snr": 0.01}')[1] == DetectorDesign(50, 1000)
     assert snr(sc) == pytest.approx(0.01, rel=1e-12)
     sp = spike_spectrum(sc, d)
     assert sp.t1 == pytest.approx(1.5, rel=1e-12)
@@ -289,6 +301,10 @@ def test_scenario_json_rejects_ambiguous_forms():
         {"K": 1e400, "N": 50, "snr": 0.1},
         '{"K": 5, "N": 50, "snr": NaN}',
         '{"K": 5, "N": 50, "snr": Infinity}',
+        {"K": 4.7, "N": 100.9, "snr": 0.5},  # was truncated to (4, 100)
+        {"K": 4, "N": 100.5, "snr": 0.5},
+        '{"K": "4", "N": 100, "snr": 0.5}',
+        {"K": 2, "N": 50.5, "Sigma": [1.0], "H": [[[1, 0]], [[1, 0]]]},
     ],
 )
 def test_scenario_json_malformed_raises_domain_error(source):
@@ -312,9 +328,14 @@ def _explicit_k20(power, gain):
          "error: --n contradicts"),
         (json.dumps({"K": 20, "N": 400, "sigma_v2": 1e-300, "Sigma": [1e10],
                      "H": [[[1, 0]]] * 20}), ("pmd", "--gamma", "2.5"), "error: SNR overflows"),
+        ('{"K": 4.7, "N": 100.9, "snr": 0.5}', ("pmd", "--gamma", "2.5"),
+         "error: scenario JSON: K and N must be whole numbers"),
+        ('{"K": 4, "N": 100.9, "snr": 0.5}', ("simulate", "--trials", "200"),
+         "error: scenario JSON: K and N must be whole numbers"),
     ],
     ids=["snr-not-a-number", "nan-power-pmd", "nan-power-simulate", "overflow-pmd",
-         "n-contradicts-file", "snr-overflow-pmd"],
+         "n-contradicts-file", "snr-overflow-pmd", "fractional-k-n-pmd",
+         "fractional-n-simulate"],
 )
 @pytest.mark.filterwarnings("error")
 def test_scenario_json_malformed_file_exits_2(tmp_path, capsys, text, argv, prefix):
