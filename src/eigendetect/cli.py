@@ -43,7 +43,7 @@ from .spiked import (
     spike_from_snr,
     spike_spectrum,
 )
-from .tracy_widom import build_tw2_table, dump_table_csv
+from .tracy_widom import default_table, dump_table_csv
 
 __all__ = ["main"]
 
@@ -210,9 +210,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tw_table(args) -> int:
-    table = build_tw2_table(args.tolerance)
-    dump_table_csv(args.out, table)
-    print("wrote %s (%d rows)" % (args.out, table.grid.size))
+    dump_table_csv(args.out)
+    print("wrote %s (%d rows)" % (args.out, default_table().grid.size))
     return 0
 
 
@@ -291,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", type=str, help="per-trial batch CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("tw-table", help="dump the Tracy-Widom table as CSV")
+    p = sub.add_parser("tw-table", help="write the packaged Tracy-Widom table as CSV")
     p.add_argument("--out", type=str, required=True)
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(func=cmd_tw_table)
 
     return ap

@@ -22,6 +22,7 @@ mu_spike/nu_spike.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -330,12 +331,14 @@ def build_lut(k_list, n_list, pfa_list, snr: float | None = None) -> tuple[LutRo
     """
     if not (len(k_list) and len(n_list) and len(pfa_list)):
         raise DomainError("build_lut: all grids must be nonempty")
+    if not all(isinstance(v, numbers.Real) for v in (*k_list, *n_list)):
+        raise DomainError("build_lut: the K and N grids must hold numbers")
     ps = sorted(set(float(p) for p in pfa_list))
     if not all(0.0 < p < 1.0 for p in ps):
         raise DomainError("build_lut: pfa must lie in (0,1)")
     rows = []
-    for K in sorted(set(int(k) for k in k_list)):
-        for N in sorted(set(int(n) for n in n_list)):
+    for K in sorted(set(k_list)):
+        for N in sorted(set(n_list)):
             gammas, pmds, errors = np.full(len(ps), math.nan), [None] * len(ps), [None] * len(ps)
             try:
                 design = DetectorDesign(K=K, N=N)

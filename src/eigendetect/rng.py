@@ -63,6 +63,7 @@ chunk's trial seeds are one array call), XORed into the parent seed.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -106,9 +107,15 @@ def mix(counter):
 
 class SeededStream:
     """Sequential view over the word streams of a seed, or of a 1-D array of seeds
-    (one cursor per row; row t of a draw is the draw of ``SeededStream(seeds[t])``)."""
+    (one cursor per row; row t of a draw is the draw of ``SeededStream(seeds[t])``).
+    A seed is an integer in [0, 2^64), not a bool; a uint64 array passes unchecked."""
 
     def __init__(self, seed):
+        if not (isinstance(seed, np.ndarray) and seed.dtype == np.uint64):
+            words = np.asarray(seed, dtype=object).reshape(-1)
+            if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                       and 0 <= w < 2 ** 64 for w in words):
+                raise DomainError("SeededStream: seeds must be integers in [0, 2^64)")
         self._lead = np.shape(seed)
         self._seed = np.asarray(seed, dtype=np.uint64).reshape(-1)
         self._cursor = np.zeros(self._seed.size, dtype=np.uint64)

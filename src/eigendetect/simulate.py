@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .rng import SeededStream, mix
-from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation, snr
+from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation, _integers, snr
 
 __all__ = [
     "NOISE_TAG",
@@ -113,6 +113,8 @@ def _check_seed(seed, caller: str) -> None:
 
 def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
     """K x N circularly symmetric complex Gaussian noise, E|v|^2 = sigma_v2 (per seed)."""
+    if not (_integers(K, N) and min(K, N) >= 1):
+        raise DomainError("gen_noise: K and N must be positive integers")
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("gen_noise: sigma_v2 must be positive and finite")
     _check_seed(seed, "gen_noise")
@@ -178,6 +180,8 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
 
 def gen_signal(P: int, N: int, modulation, sigma2, seed) -> np.ndarray:
     """P x N source samples (per seed): independent rows, row p has variance sigma2[p]."""
+    if not (_integers(P, N) and min(P, N) >= 1):
+        raise DomainError("gen_signal: P and N must be positive integers")
     modulation = _as_modulation(modulation)
     sigma2 = np.asarray(sigma2, dtype=float).reshape(-1)
     if sigma2.shape[0] != P:
@@ -217,6 +221,8 @@ def scenario_from_component_snrs(
     then rescaled so sigma_p^2 ||h_p||^2 / (K sigma_v2) equals
     component_snrs[p] (unit source powers).
     """
+    if not (_integers(K) and K >= 1):
+        raise DomainError("scenario_from_component_snrs: K must be a positive integer")
     _check_seed(seed, "scenario_from_component_snrs")
     snrs = np.asarray(component_snrs, dtype=float).reshape(-1)
     if not (np.all((snrs > 0.0) & (snrs < math.inf)) and 0.0 < sigma_v2 < math.inf):

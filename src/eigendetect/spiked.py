@@ -238,6 +238,8 @@ def spike_spectrum(scenario: Scenario, design: DetectorDesign) -> SpikeSpectrum:
 
 def spike_from_snr(K: int, rho: float) -> float:
     """Single-source spike: t1 = K * rho + 1."""
+    if not (_integers(K) and K >= 1):
+        raise DomainError("spike_from_snr: K must be a positive integer")
     if not 0.0 <= rho < math.inf:
         raise DomainError("spike_from_snr: rho must be >= 0 and finite")
     return K * rho + 1.0
@@ -272,8 +274,8 @@ def min_samples(K: int, rho: float) -> int:
     """Smallest N making a single source of SNR rho identifiable."""
     if not rho > 0.0:
         raise DomainError("min_samples: rho must be > 0")
-    if not 1 <= K <= sys.float_info.max:
-        raise DomainError("min_samples: K must be positive and within float range")
+    if not (_integers(K) and 1 <= K <= sys.float_info.max):
+        raise DomainError("min_samples: K must be a positive integer within float range")
     denom = K * rho * rho
     if denom <= 2.0 ** -62:  # 1 / denom >= 2**62, or rho * rho underflowed
         raise DomainError("min_samples: required sample count out of range")

@@ -19,14 +19,15 @@ The CDF and PDF follow from
     F(x) = exp( -int_x^inf (u - x) q(u)^2 du ),
     f(x) = F(x) * int_x^inf q(u)^2 du.
 
-The solver starts from q(u0) = -Ai(u0), q'(u0) = -Ai'(u0) at u0 = 8
-(the decaying side, where backward integration is stable) and runs an
-adaptive high-order Runge-Kutta scheme down to x = -10, accumulating
-int q^2 and int u q^2 as extra state components.  The exactly known
-primitives of Ai^2 and u Ai^2 supply the [u0, inf) tail contributions.
-The solve's rows log F, int_x^inf q^2 and q^2 on linspace(-10, 6, 1601)
-ship as ``tw2_table.npy`` (``np.save(path, build_tw2_table().columns)``),
-which :func:`default_table` loads, so no import needs scipy.
+The reference solve :func:`build_tw2_table` starts from q(u0) = -Ai(u0),
+q'(u0) = -Ai'(u0) at u0 = 8 (the decaying side, where backward integration
+is stable) and runs DOP853 at relative tolerance 1e-10 down to x = -10,
+accumulating int q^2 and int u q^2 as extra state components; the exactly
+known primitives of Ai^2 and u Ai^2 supply the [u0, inf) tails.  Its rows
+log F, int_x^inf q^2 and q^2 on linspace(-10, 6, 1601) ship as
+``tw2_table.npy`` (``np.save(path, build_tw2_table().columns)``), the one
+table, read by :func:`default_table`, behind every threshold and the
+``tw-table`` CSV, so no caller needs scipy.
 
 Both tables are interpolated in log space by cubic Hermite pieces with
 the exact slopes d log F/dx = int q^2 and d log f/dx = int q^2 - q^2 /
@@ -66,6 +67,7 @@ _X_RIGHT = 6.0
 _N_POINTS = 1601
 _INV_H = (_N_POINTS - 1) / (_X_RIGHT - _X_LEFT)  # grid points per unit of x
 _U0 = 8.0  # matching point where q is set to -Ai
+_RTOL = 1e-10  # DOP853 relative tolerance of the reference solve
 
 _AIRY_DOMAIN = 200.0
 
@@ -197,16 +199,9 @@ def invert_cdf(cdf, pdf, levels, grid, f_grid):
     return root, residual
 
 
-def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:
-    """Solve Painleve II and tabulate the Tracy-Widom order-2 law.
-
-    ``tolerance`` is the relative accuracy requested from the ODE
-    integrator; admissible range [1e-12, 1e-4].
-    """
-    tolerance = float(tolerance)
-    if not 1e-12 <= tolerance <= 1e-4:
-        raise DomainError("build_tw2_table: tolerance must lie in [1e-12, 1e-4]")
-
+def build_tw2_table() -> TracyWidomTable:
+    """Solve Painleve II and tabulate the Tracy-Widom order-2 law: the reference that
+    ``tw2_table.npy`` holds."""
     from scipy.integrate import solve_ivp
     ai0, aip0 = airy_ai(_U0), airy_ai_prime(_U0)
     # Closed-form tails over [u0, inf) from the primitives
@@ -227,7 +222,7 @@ def build_tw2_table(tolerance: float = 1e-10) -> TracyWidomTable:
         (-ai0, -aip0, 0.0, 0.0),
         method="DOP853",
         t_eval=grid[::-1],
-        rtol=tolerance,
+        rtol=_RTOL,
         # q starts ~5e-8; error control on the q components must stay
         # relative there, hence the tiny absolute floor.
         atol=(1e-22, 1e-22, 1e-16, 1e-16),
@@ -276,9 +271,9 @@ def tw2_quantile(p: float) -> float:
     return default_table().quantile(p)
 
 
-def dump_table_csv(path, table: TracyWidomTable | None = None) -> None:
-    """Write the table as ``x,cdf,pdf`` rows (%.12e formatting)."""
-    table = table or default_table()
+def dump_table_csv(path) -> None:
+    """Write the packaged table as ``x,cdf,pdf`` rows (%.12e formatting)."""
+    table = default_table()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,cdf,pdf\n")
         for x, c, p in zip(table.grid, table.cdf_values, table.pdf_values):

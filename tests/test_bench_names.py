@@ -5,6 +5,7 @@
 parameter should fail here, not only in a benchmark run.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -51,3 +52,6 @@ def test_law_caches_the_traced_run_reads():
         assert callable(law.cache_info) and callable(law.cache_clear), name
         law.cache_clear()
         assert law.cache_info().currsize == 0
+    # the same run times tracy_widom.build_tw2_table() with no arguments
+    params = inspect.signature(tracy_widom.build_tw2_table).parameters.values()
+    assert all(p.default is not inspect.Parameter.empty for p in params)

@@ -10,6 +10,7 @@ from eigendetect.cli import main, parse_grid, parse_snr
 from eigendetect.errors import DomainError, NumericError
 from eigendetect.performance import pfa, pmd
 from eigendetect.spiked import DetectorDesign
+from eigendetect.tracy_widom import dump_table_csv
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +321,9 @@ def test_tw_table_dump(tmp_path, capsys):
     assert lines[0] == "x,cdf,pdf"
     cells = lines[1].split(",")
     assert len(cells) == 3 and "e" in cells[1]
+    # the command writes the packaged table that every other command reads
+    dump_table_csv(tmp_path / "packaged.csv")
+    assert out_path.read_bytes() == (tmp_path / "packaged.csv").read_bytes()
 
 
 def test_io_failure_exit_code(capsys):
@@ -360,6 +364,8 @@ def test_io_failure_exit_code(capsys):
         ("simulate", "--k", "4", "--n", "40", "--trials", "200", "--snr", "0dB",
          "--seed", "18446744073709551616"),
         ("simulate", "--k", "4", "--n", "40", "--trials", "200", "--seed", "-1"),
+        # tw-table writes the packaged table: there is no solve to tune
+        ("tw-table", "--out", "tw.csv", "--tolerance", "1e-10"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

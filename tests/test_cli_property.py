@@ -122,7 +122,7 @@ def commands(tmp):
             out,
             flag("--dump", mostly(st.just(str(tmp / "dump.csv")), st.just(str(tmp / "no-dir" / "d.csv")))),
         ],
-        "tw-table": [out, flag("--tolerance", floats(1e-12, 1e-4))],
+        "tw-table": [out],
     }
     return {
         name: st.tuples(*parts).map(lambda parts, name=name: [name] + sum(parts, []))

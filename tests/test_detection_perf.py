@@ -277,8 +277,9 @@ def test_no_scipy_root_finder_left():
         assert "scipy.optimize" not in source and "brentq" not in source
 
 
-def test_h0_path_imports_no_scipy():
-    # neither hypothesis' analytic path loads scipy: the signal law enters as weights
+def test_h0_path_imports_no_scipy(tmp_path):
+    # neither hypothesis' analytic path loads scipy: the signal law enters as weights;
+    # nor does tw-table, which writes the packaged table instead of solving Painleve II
     code = (
         "import sys, eigendetect, eigendetect.cli\n"
         "from eigendetect import DetectorDesign, threshold_from_pfa\n"
@@ -286,13 +287,16 @@ def test_h0_path_imports_no_scipy():
         "d = DetectorDesign(50, 1000)\n"
         "g = threshold_from_pfa(0.01, d)\n"
         "pmd(g, d, 1.5), roc(d, 1.5, [0.01, 0.1]), threshold_from_pmd(0.1, d, 1.5)\n"
+        "assert eigendetect.cli.main(['tw-table', '--out', sys.argv[1]]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = str(Path(performance.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = tmp_path / "tw.csv"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert out.read_text().startswith("x,cdf,pdf\n")
 
 
 def test_threshold_independent_of_everything_but_geometry():
@@ -345,6 +349,9 @@ def test_lut_cell_beyond_truncated_mass_fails_alone():
             assert table[1].pmd == pytest.approx(pmd(table[1].gamma, D50, 3.0), rel=1e-12)
     with pytest.raises(DomainError):
         build_lut([50], [1000], [0.01, 1.0])
+    for ks, ns in ((["3", 4], [10]), ([np.array([3])], [10]), ([3], [[10]])):
+        with pytest.raises(DomainError, match="grids must hold numbers"):
+            build_lut(ks, ns, [0.01])
 
 
 def test_lut_grid_ordering_and_monotonicity():
@@ -372,6 +379,13 @@ def test_lut_row_failure_marker():
     good = [r for r in table if r.error is None]
     assert len(errors) == 1 and len(good) == 1
     assert math.isnan(errors[0].gamma)
+    # counts are integers: a non-integral K or N is an error row, not a truncated design
+    table = build_lut([2.5, 3.7], [10.5, 40.9], [0.01])
+    assert len(table) == 4
+    for row in table:
+        assert isinstance(row.error, DomainError) and math.isnan(row.gamma)
+    assert build_lut([np.int64(50)], [np.int32(1000)], [0.01])[0].gamma == \
+        threshold_from_pfa(0.01, D50)
 
 
 def test_lut_csv_format(tmp_path):

@@ -164,6 +164,10 @@ def test_noise_rejects_bad_variance():
     for sigma_v2 in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             gen_noise(4, 8, sigma_v2, 1)
+    for K, N in ((2.5, 4), (2, 4.0), (-1, 4), (0, 4), (True, 4)):
+        with pytest.raises(DomainError, match="K and N must be positive integers"):
+            gen_noise(K, N, 1.0, 1)
+    assert np.array_equal(gen_noise(np.int64(4), np.uint8(8), 1.0, 1), gen_noise(4, 8, 1.0, 1))
 
 
 # --- signals -----------------------------------------------------------------
@@ -208,6 +212,9 @@ def test_unknown_modulation_rejected():
         gen_signal(1, 10, "gmsk", [1.0], 0)
     with pytest.raises(DomainError):
         gen_signal(1, 8, "qpsk", [math.nan], 1)
+    for P, N in ((1, 4.5), (1.0, 4), (1, 0), (True, 4)):
+        with pytest.raises(DomainError, match="P and N must be positive integers"):
+            gen_signal(P, N, "qpsk", [1.0], 1)
 
 
 # --- channel -----------------------------------------------------------------
@@ -241,6 +248,12 @@ def test_component_snr_channel():
     assert snr(sc) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(DomainError, match="1 <= P < K"):
         scenario_from_component_snrs(5, [])
+    for call in (lambda: scenario_from_snr(3.0, 0.1), lambda: scenario_from_snr(0, 0.1),
+                 lambda: scenario_from_component_snrs(2.5, [0.1])):
+        with pytest.raises(DomainError, match="K must be a positive integer"):
+            call()
+    assert np.array_equal(scenario_from_snr(np.int64(50), 0.01, seed=5).H,
+                          scenario_from_snr(50, 0.01, seed=5).H)
 
 
 # --- batches -----------------------------------------------------------------
@@ -520,10 +533,13 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
         with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
             call(seed)
     monkeypatch.undo()
-    # the stream itself takes a seed as a uint64 word, so these raise there too
-    for seed in (-1, 2 ** 64 + 5, [3, -1], [2 ** 64]):
-        with pytest.raises(OverflowError):
+    # the stream itself raises too, and coerces no float, bool or negative numpy seed
+    for seed in (-1, 2 ** 64 + 5, [3, -1], [2 ** 64], 1.5, True, [1.5], np.int64(-1),
+                 np.array([-1])):
+        with pytest.raises(DomainError, match=r"seeds must be integers in \[0, 2\^64\)"):
             SeededStream(seed)
+    assert np.array_equal(SeededStream(np.int64(5)).uniform_open(3),
+                          SeededStream(5).uniform_open(3))
     top = run_trials(d, None, trials=3, seed=np.uint64(2 ** 64 - 1))
     assert top.seed == 2 ** 64 - 1
     assert np.array_equal(top.t_stat, run_trials(d, None, trials=3, seed=2 ** 64 - 1).t_stat)

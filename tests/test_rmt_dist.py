@@ -89,13 +89,6 @@ def test_airy_domain_errors():
 
 # --- Tracy-Widom table ------------------------------------------------------
 
-def test_table_build_tolerance_domain():
-    with pytest.raises(DomainError):
-        build_tw2_table(1e-3)
-    with pytest.raises(DomainError):
-        build_tw2_table(1e-13)
-
-
 def test_table_structural_invariants():
     tab = default_table()
     assert tab.grid[0] <= -10.0 and tab.grid[-1] >= 6.0

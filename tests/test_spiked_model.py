@@ -206,6 +206,10 @@ def test_identifiability_strict_boundary():
     for rho in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             spike_from_snr(5, rho)
+    for K in (2.5, True, 0, 5.0):
+        with pytest.raises(DomainError, match="K must be a positive integer"):
+            spike_from_snr(K, 0.1)
+    assert spike_from_snr(np.int64(5), 0.1) == spike_from_snr(5, 0.1) == 1.5
 
 
 def test_critical_snr_values():
@@ -243,6 +247,11 @@ def test_min_samples():
         assert critical_snr(K, N) < rho <= critical_snr(K, N - 1) if N > 1 else rho > critical_snr(K, 1)
     with pytest.raises(DomainError):
         min_samples(50, 0.0)
+    # K is a count: numpy integers pass, floats and bools raise
+    assert min_samples(np.int64(50), 0.01) == 201
+    for K in (2.5, True, 0, 4.0):
+        with pytest.raises(DomainError, match="K must be a positive integer"):
+            min_samples(K, 0.1)
 
 
 # --- JSON loading ------------------------------------------------------------
