@@ -47,7 +47,10 @@ stream may change between releases:
   (Dumitriu & Edelman 2002; a rank-one signal moves only the first row,
   Bloemendal & Virag 2013).  The simulator draws it from
   ``trial_seed XOR WISHART_TAG`` for at most one source: s = 0 for none, and
-  ``s = sigma ||h|| ||z|| / sigma_v`` for a unit-power source row ``z``.
+  ``s = sigma ||h|| ||z|| / sigma_v`` for a unit-power source row ``z``, whose
+  ``||z||^2`` is one Gamma(N) for a Gaussian row, N for QPSK and
+  non-coherent PSK, a form in the QPSK symbols for SRRC QPSK and the drawn
+  row's sum for a uniform one (see :mod:`eigendetect.simulate`).
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and

@@ -18,8 +18,12 @@ stream itself):
 * the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
   real bidiagonal ``B`` for a noise-only or one-source batch, otherwise one
   Bartlett factor ``L`` of Wishart(N, I_{K+P}); from ``trial_seed XOR
-  SIGNAL_TAG`` it draws the unit-power signal matrix ``Z`` of non-Gaussian
-  sources, and ``||z||^2`` (one Gamma(N)) of one Gaussian source;
+  SIGNAL_TAG`` it draws the unit-power signal matrix ``Z`` of two or more
+  non-Gaussian sources, and of one source only ``||z||^2``: one Gamma(N)
+  for a Gaussian row, nothing for QPSK and non-coherent PSK (``||z||^2 =
+  N``), the QPSK symbols of an SRRC row (``||z||^2`` is a banded form in
+  them; they are the row's own words, from ``seed XOR mix(0)``), and a
+  whole uniform row;
 * either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: a chunk's trial seeds are one ``trial_seed`` call
@@ -43,7 +47,12 @@ its entry (0, 0) (s = 0 under noise only; a redrawn channel keeps ||h||), so
 Y Y^H / sigma_v^2 has the eigenvalues of B B^T for a real bidiagonal B of
 2K - 1 chi entries whose first squared entry is |s + g|^2 + Gamma(N - 1), g a
 unit complex normal (Dumitriu & Edelman 2002; Bloemendal & Virag 2013).  The
-source enters only through ||z||^2, for a Gaussian row one Gamma(N) draw.
+source enters only through ||z||^2: one Gamma(N) draw for a Gaussian row,
+exactly N for a constant-modulus QPSK or non-coherent PSK row, for SRRC QPSK
+(1/2) sum_j G_0[j] (re_j^2 + im_j^2) + sum_{d=1..10} sum_j G_d[j] (re_j re_{j+d}
++ im_j im_{j+d}) over the signs re, im of its symbols, G_d the d-th diagonal
+of A^T A for the real map A from symbols to samples, and the drawn row's own
+sum for a uniform one.
 These batches take lambda_min and lambda_max of the tridiagonal
 sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
 Wishart is the default; ``"direct"`` alone reproduces a seeded result
@@ -59,6 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,10 +156,48 @@ def _srrc_pulse() -> np.ndarray:
 _SRRC_TAPS = _srrc_pulse()
 
 
-def _unit_qpsk(stream: SeededStream, n: int) -> np.ndarray:
+def _qpsk_signs(stream: SeededStream, n: int):
+    """The real and imaginary signs (+-1.0) of n QPSK symbols."""
     re = np.where(stream.uniform_open(n) > 0.5, 1.0, -1.0)
     im = np.where(stream.uniform_open(n) > 0.5, 1.0, -1.0)
+    return re, im
+
+
+def _unit_qpsk(stream: SeededStream, n: int) -> np.ndarray:
+    re, im = _qpsk_signs(stream, n)
     return (re + 1j * im) * math.sqrt(0.5)
+
+
+def _srrc_symbols(n: int) -> int:
+    """Symbols behind an SRRC row of n samples."""
+    return -(-n // _SRRC_SPS) + _SRRC_SPAN + 2
+
+
+@lru_cache(maxsize=16)
+def _srrc_gram(n: int) -> tuple:
+    """``(G_0 / 2, G_1, ..., G_SPAN)``: G_d is the d-th diagonal of A^T A for the n x n_sym
+    map A that takes the symbols of an SRRC row to its n samples (column j holds
+    sqrt(sps) taps[k] at sample k + sps j - start, where that lies in [0, n)).  With G_0
+    halved, ||z||^2 = sum_d sum_j gram[d][j] (re_j re_{j+d} + im_j im_{j+d}) for the signs
+    re, im of the row's symbols."""
+    taps = _SRRC_TAPS * math.sqrt(_SRRC_SPS)
+    start, n_sym = taps.size - 1, _srrc_symbols(n)
+    j = _SRRC_SPS * np.arange(n_sym)
+    # column j keeps taps [lo_j, hi_j); only the ~2 SPAN edge columns differ from the rest
+    windows, which = np.unique(np.clip(np.stack([start - j, n + start - j], axis=1), 0, taps.size),
+                               axis=0, return_inverse=True)
+    k = np.arange(taps.size)
+    inside = (k >= windows[:, :1]) & (k < windows[:, 1:])
+    gram = []
+    for d in range(_SRRC_SPAN + 1):
+        # pair (j, j + d) meets at tap k of column j and k - sps d of column j + d
+        pair = np.zeros(taps.size)
+        pair[_SRRC_SPS * d :] = taps[_SRRC_SPS * d :] * taps[: taps.size - _SRRC_SPS * d]
+        g = np.sum(np.where(inside, pair, 0.0), axis=-1)[which[: n_sym - d]]
+        g = 0.5 * g if d == 0 else g
+        g.setflags(write=False)
+        gram.append(g)
+    return tuple(gram)
 
 
 def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarray:
@@ -159,7 +207,7 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
     if modulation is Modulation.QPSK:
         return _unit_qpsk(stream, n)
     if modulation is Modulation.QPSK_SRRC:
-        n_sym = -(-n // _SRRC_SPS) + _SRRC_SPAN + 2
+        n_sym = _srrc_symbols(n)
         sym = _unit_qpsk(stream, n_sym)
         up = np.zeros(sym.shape[:-1] + (n_sym * _SRRC_SPS,), dtype=complex)
         up[..., :: _SRRC_SPS] = sym
@@ -176,6 +224,28 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
         re = half * (2.0 * stream.uniform_open(n) - 1.0)
         im = half * (2.0 * stream.uniform_open(n) - 1.0)
         return re + 1j * im
+
+
+def _row_norm2(N: int, modulation: Modulation, seeds: np.ndarray):
+    """||z||^2 of each unit-power row z = gen_signal(1, N, modulation, [1.0], seeds[t]), in law
+    (``seeds`` a uint64 array): one Gamma(N) from the stream of seeds[t] for a Gaussian row;
+    N for a constant-modulus one (QPSK, non-coherent PSK), drawing nothing; and the row's own
+    value otherwise, for SRRC QPSK as the form of :func:`_srrc_gram` in its symbols alone."""
+    if modulation is Modulation.GAUSSIAN:
+        return SeededStream(seeds).standard_gamma([N])[:, 0]
+    if modulation in (Modulation.QPSK, Modulation.PSK_NONCOHERENT):
+        return float(N)
+    if modulation is Modulation.QPSK_SRRC:
+        re, im = _qpsk_signs(SeededStream(seeds ^ mix(0)), _srrc_symbols(N))
+        n = re.shape[-1]
+        # per-row sums: a BLAS product over the chunk would round by the chunk's row count
+        return sum(np.sum(g * (re[:, : n - d] * re[:, d:] + im[:, : n - d] * im[:, d:]), axis=-1)
+                   for d, g in enumerate(_srrc_gram(N)))
+    sub = max(1, _CHUNK_BYTES // (16 * N))  # rows per block of about _CHUNK_BYTES
+    return np.concatenate([
+        np.sum(np.abs(gen_signal(1, N, modulation, [1.0], seeds[lo : lo + sub])) ** 2,
+               axis=(-2, -1))
+        for lo in range(0, seeds.size, sub)])
 
 
 def gen_signal(P: int, N: int, modulation, sigma2, seed) -> np.ndarray:
@@ -339,8 +409,9 @@ def run_trials(
 def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     """The batch's route, as ``(draw, draw_bytes)``: ``draw(trial_seeds) -> (lambda_min,
     lambda_max)`` gives one entry per trial seed, and about ``draw_bytes`` of draws per trial
-    set the chunk size.  ``"wishart"`` bisects B B^T for at most one source (drawing its
-    source rows in blocks of about ``_CHUNK_BYTES``) and factors W L for more."""
+    set the chunk size.  ``"wishart"`` bisects B B^T for at most one source (drawing of its
+    source only what ||z||^2 needs: uniform rows whole, in blocks of about ``_CHUNK_BYTES``)
+    and factors W L for more."""
     K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
@@ -368,22 +439,12 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
     if P <= 1:
         # the law depends on the channel only through sigma^2 ||h||^2, which a redrawn one keeps
         spike = 0.0 if scenario is None else sigma2[0] * np.sum(np.abs(H) ** 2) / sigma_v2
-        sub = max(1, _CHUNK_BYTES // (16 * N))  # trials per block of source rows
-
-        def norm2(seeds):
-            """||z||^2 of each trial's unit-power source row z."""
-            if scenario is None:
-                return 0.0
-            if scenario.modulation is Modulation.GAUSSIAN:
-                return SeededStream(seeds ^ SIGNAL_TAG).standard_gamma([N])[:, 0]
-            return np.concatenate([
-                np.sum(np.abs(gen_signal(1, N, scenario.modulation, [1.0],
-                                         seeds[lo : lo + sub] ^ SIGNAL_TAG)) ** 2, axis=(-2, -1))
-                for lo in range(0, seeds.size, sub)])
 
         def draw(seeds):
+            norm2 = 0.0 if scenario is None else _row_norm2(N, scenario.modulation,
+                                                            seeds ^ SIGNAL_TAG)
             stream = SeededStream(seeds ^ WISHART_TAG)
-            g = stream.wishart_bidiagonal(K, N, np.sqrt(spike * norm2(seeds)))
+            g = stream.wishart_bidiagonal(K, N, np.sqrt(spike * norm2))
             x2, y2 = g[:, :K], g[:, K:]
             diag = x2.copy()
             diag[:, 1:] += y2
@@ -408,7 +469,9 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
         w = np.linalg.eigvalsh(M @ M.conj().swapaxes(-1, -2))
         return w[:, 0] * scale, w[:, -1] * scale
 
-    return draw, 16 * (K * (K + P) + P * N)
+    # a Gaussian batch draws no P x N source block
+    source_bytes = 0 if scenario.modulation is Modulation.GAUSSIAN else P * N
+    return draw, 16 * (K * (K + P) + source_bytes)
 
 
 def _tridiagonal_extremes(diag, offsq):

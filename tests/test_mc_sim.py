@@ -38,7 +38,7 @@ from eigendetect.simulate import (
     scenario_from_snr,
     trial_seed,
 )
-from eigendetect.spiked import DetectorDesign, Scenario, snr, spike_spectrum
+from eigendetect.spiked import DetectorDesign, Modulation, Scenario, snr, spike_spectrum
 
 
 # --- pinned RNG --------------------------------------------------------------
@@ -205,6 +205,17 @@ def test_uniform_complex_fourth_moment():
     m4 = np.mean(S.real ** 4)
     assert abs(m4 - ref) < 0.005 * ref
     assert np.max(np.abs(S.real)) <= a + 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 7, 8, 64, 1000])
+def test_srrc_norm_from_its_symbols_is_the_drawn_rows(N):
+    # the one-source Wishart route takes ||z||^2 of an SRRC QPSK row from its symbols alone
+    seeds = trial_seed(19, np.arange(300, dtype=np.uint64))
+    drawn = np.sum(np.abs(gen_signal(1, N, "qpsk_srrc", [1.0], seeds)) ** 2, axis=(-2, -1))
+    form = simulate._row_norm2(N, Modulation.QPSK_SRRC, seeds)
+    np.testing.assert_allclose(form, drawn, rtol=1e-13, atol=0)
+    alone = [simulate._row_norm2(N, Modulation.QPSK_SRRC, seeds[t : t + 1]) for t in range(300)]
+    assert np.array_equal(np.concatenate(alone), form)
 
 
 def test_unknown_modulation_rejected():
@@ -433,14 +444,14 @@ BATCH_PINS = {
         "3b6a295767a0809ec169a6482f6949a2927c9281b98c50658f1f19dc19685b44"),
     "p1_fixed": ((1, 4368, 4369, 4370, 8741),
         "bf7e627c22ddbf6f77c536fc713b614202fb715e8a8def171667f4a90ac21c7e"),
-    "p2_fixed": ((1, 156, 157, 158, 317),
-        "bc89892f9c62cf738084b16bfd75fed6ff1f4bd12bce724ff9c256dff86789e0"),
-    "p2_redraw": ((1, 156, 157, 158, 317),
-        "24670c7168a25f3cc544914711e5559eccb04c6cc70502a770006a4aeb3f93c8"),
+    "p2_fixed": ((1, 408, 409, 410, 821),
+        "d3366778a546a087fa7cefc666d9954cac28a5efe65b6419fba58d3c48d122a3"),
+    "p2_redraw": ((1, 408, 409, 410, 821),
+        "5b58ebd641501fb11d759829e25bedf2502dd00943265909b475d8a74efb4069"),
     "qpsk/p1_fixed": ((1, 4368, 4369, 4370, 8741),
-        "33df26cceb136bdbbb57bc68306576e5f7457dbcd197d12054b4fff412373488"),
+        "ef0b057330e2c94de207b394cb18884ae09332cc7a1bf6d3a035c12dedbde460"),
     "qpsk_srrc/p1_fixed": ((1, 4368, 4369, 4370, 8741),
-        "925a9fdcb36f5d35c9325a63b6e844650f53b893e0d19bbcd26e887d77aa44f4"),
+        "9fef83c1e0446e4f9fea68fd3b10a9cddb8d797a1c52ccde8407654f5018ceb5"),
     "psk_noncoherent/p1_fixed": ((1, 4368, 4369, 4370, 8741),
         "ef0b057330e2c94de207b394cb18884ae09332cc7a1bf6d3a035c12dedbde460"),
     "uniform_complex/p1_fixed": ((1, 4368, 4369, 4370, 8741),
@@ -814,10 +825,9 @@ class _RefStream:
 # lower-trapezoidal
 CONTRACT_CASES = (("gaussian/fixed", 40), ("gaussian/redraw", 40), ("qpsk/fixed", 40),
                   ("gaussian/fixed", 10), ("qpsk/redraw", 10))
-# (case, N) on the tridiagonal route: noise only, and one Gaussian, one QPSK and one uniform
-# source
-TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40), ("qpsk/p1", 40),
-                              ("uniform_complex/p1", 40))
+# (case, N) on the tridiagonal route: noise only, and one source of each modulation
+TRIDIAGONAL_CONTRACT_CASES = (("h0", 40), ("p1", 40), ("qpsk/p1", 40), ("qpsk_srrc/p1", 40),
+                              ("psk_noncoherent/p1", 40), ("uniform_complex/p1", 40))
 
 
 def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
@@ -852,6 +862,19 @@ def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
     return batch, np.array(rebuilt).T
 
 
+def _srrc_form(N, seed):
+    """||z||^2 of the SRRC QPSK row of ``seed`` from its symbols: re and im are the signs of
+    the row's first n_sym uniforms and of its next n_sym (its stream is seed ^ mix(0)), and
+    the form sums (G_0 / 2, G_1, ..., G_10)[d] * (re_j re_{j+d} + im_j im_{j+d}) over j, row
+    by row, then over d."""
+    gram = simulate._srrc_gram(N)
+    n = gram[0].size
+    u = np.array(_RefStream(seed ^ mix(0)).uniforms(2 * n))
+    re, im = np.where(u[:n] > 0.5, 1.0, -1.0), np.where(u[n:] > 0.5, 1.0, -1.0)
+    return sum(np.sum(g * (re[: n - d] * re[d:] + im[: n - d] * im[d:]))
+               for d, g in enumerate(gram))
+
+
 def _dense_tridiagonal(diag, offsq):
     """The K x K tridiagonal T of each row of ``diag`` and ``offsq`` (squared off-diagonal)."""
     C, K = diag.shape
@@ -877,7 +900,9 @@ def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma
     are the squared diagonal and sub-diagonal of B, and the first entry gains |s + g|^2 for
     the complex normal g drawn next and s = sigma ||h|| ||z|| / sigma_v (0 under noise only),
     with ||z||^2 of the unit-power source row: one Gamma(N) from the signal stream for a
-    Gaussian source; the extremes are those of sigma_v2 B B^T / N."""
+    Gaussian source, N for QPSK and non-coherent PSK, the form in the row's QPSK symbols for
+    SRRC QPSK and the drawn row's sum for a uniform one; the extremes are those of
+    sigma_v2 B B^T / N."""
     K, sc, spike = 9, None, 0.0
     modulation, _, case = case.rpartition("/")
     if case == "p1":
@@ -895,6 +920,10 @@ def _bidiagonal_batch_and_rebuild(monkeypatch, case, N, trials=6, seed=33, sigma
             norm2 = 0.0
         elif not modulation:
             norm2 = _RefStream(ts ^ SIGNAL_TAG).gammas([N])[0]
+        elif modulation in ("qpsk", "psk_noncoherent"):
+            norm2 = float(N)
+        elif modulation == "qpsk_srrc":
+            norm2 = _srrc_form(N, ts ^ SIGNAL_TAG)
         else:
             norm2 = np.sum(np.abs(gen_signal(1, N, modulation, [1.0], ts ^ SIGNAL_TAG)) ** 2)
         stream = _RefStream(ts ^ WISHART_TAG)
