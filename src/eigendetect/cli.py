@@ -27,7 +27,6 @@ from .performance import (
     write_roc_csv,
 )
 from .simulate import (
-    SAMPLERS,
     dump_batch_csv,
     dump_cdf_comparison_csv,
     ks_distance,
@@ -196,8 +195,7 @@ def cmd_simulate(args) -> int:
         scenario = scenario_from_snr(
             design.K, rho, modulation=args.modulation or "gaussian", seed=args.seed
         )
-    batch = run_trials(design, scenario, trials=args.trials, seed=args.seed,
-                       sampler=args.sampler)
+    batch = run_trials(design, scenario, trials=args.trials, seed=args.seed)
     ks = ks_distance(batch, law.cdf)
     print("ks %.6f" % ks)
     if args.out:
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--modulation", choices=[m.value for m in Modulation],
                    help="source modulation for --snr/--t1 (default gaussian)")
-    p.add_argument("--sampler", choices=SAMPLERS, default="wishart",
-                   help="trial sampler (default: wishart)")
     p.add_argument("--out", type=str, help="empirical-vs-analytical CDF CSV")
     p.add_argument("--dump", type=str, help="per-trial batch CSV")
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,8 @@
 """Monte Carlo validation harness.
 
-Generates noise-only and signal-plus-noise sample batches, forms the
-sample covariance (1/N) Y Y^H per trial, extracts the extreme
-eigenvalues and the ratio statistic, and compares empirical CDFs
-against analytical laws.
+Draws seeded noise-only and signal-plus-noise trials, takes the extreme
+eigenvalues of each trial's sample covariance (1/N) Y Y^H and their
+ratio statistic, and compares empirical CDFs against analytical laws.
 
 Seed discipline (all pinned, see :mod:`eigendetect.rng` for the word
 stream itself):
@@ -11,20 +10,17 @@ stream itself):
 * trial ``i`` of a batch uses ``trial_seed(seed, i) = seed XOR mix(i)``;
   a trial whose eigensolve fails is redrawn once from
   ``trial_seed XOR _RETRY_TAG``;
-* the ``"direct"`` sampler draws the noise matrix from
-  ``trial_seed XOR NOISE_TAG`` and the signal matrix from
-  ``trial_seed XOR SIGNAL_TAG``; row ``p`` of a signal matrix uses
-  ``seed XOR mix(p)``;
-* the ``"wishart"`` sampler draws from ``trial_seed XOR WISHART_TAG`` one
-  real bidiagonal ``B`` for a noise-only or one-source batch, otherwise one
-  Bartlett factor ``L`` of Wishart(N, I_{K+P}); from ``trial_seed XOR
-  SIGNAL_TAG`` it draws the unit-power signal matrix ``Z`` of two or more
-  non-Gaussian sources, and of one source only ``||z||^2``: one Gamma(N)
-  for a Gaussian row, nothing for QPSK and non-coherent PSK (``||z||^2 =
-  N``), the QPSK symbols of an SRRC row (``||z||^2`` is a banded form in
-  them; they are the row's own words, from ``seed XOR mix(0)``), and a
-  whole uniform row;
-* either sampler draws a redrawn channel from ``trial_seed XOR CHANNEL_TAG``.
+* a trial draws from ``trial_seed XOR WISHART_TAG`` one real bidiagonal
+  ``B`` for a noise-only or one-source batch, otherwise one Bartlett factor
+  ``L`` of Wishart(N, I_{K+P});
+* from ``trial_seed XOR SIGNAL_TAG`` it draws the unit-power signal matrix
+  ``Z`` of two or more non-Gaussian sources (row ``p`` of a signal matrix
+  from ``gen_signal`` uses ``seed XOR mix(p)``), and of one source only
+  ``||z||^2``: one Gamma(N) for a Gaussian row, nothing for QPSK and
+  non-coherent PSK (``||z||^2 = N``), the QPSK symbols of an SRRC row
+  (``||z||^2`` is a banded form in them; they are the row's own words, from
+  ``seed XOR mix(0)``), and a whole uniform row;
+* a redrawn channel comes from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: a chunk's trial seeds are one ``trial_seed`` call
 over its array of trial indices, each draw above is made once for that
@@ -36,7 +32,7 @@ is redone one trial at a time.
 
 With S = Sigma^(1/2) Z, Y / sigma_v = W X for W = [H Sigma^(1/2) / sigma_v, I_K]
 and X = [Z; V / sigma_v].  Gaussian X is white of dimension K + P, so X X^H
-has the law of L L^H, and the ``"wishart"`` sampler takes the eigenvalues of
+has the law of L L^H, and a trial takes the eigenvalues of
 sigma_v2 (W L)(W L)^H / N without forming Y.  For other sources Z = R^H Q^H
 (R is P x P, from the QR of Z^H); a unitary rotation of the samples whose
 first P columns are Q leaves V white, so the same holds with L's leading
@@ -55,8 +51,6 @@ of A^T A for the real map A from symbols to samples, and the drawn row's own
 sum for a uniform one.
 These batches take lambda_min and lambda_max of the tridiagonal
 sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
-Wishart is the default; ``"direct"`` alone reproduces a seeded result
-recorded before the Wishart sampler covered the batch.
 
 The channel is held fixed across the trials of a batch (one coherent
 sensing epoch); ``redraw_channel=True`` redraws it per trial with the
@@ -77,11 +71,9 @@ from .rng import SeededStream, mix
 from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation, _integers, snr
 
 __all__ = [
-    "NOISE_TAG",
     "SIGNAL_TAG",
     "CHANNEL_TAG",
     "WISHART_TAG",
-    "SAMPLERS",
     "trial_seed",
     "gen_noise",
     "gen_signal",
@@ -94,15 +86,12 @@ __all__ = [
     "dump_cdf_comparison_csv",
 ]
 
-NOISE_TAG = 0xB5EA2C49E1D7A3F1
 SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
 WISHART_TAG = 0x6A09E667F3BCC908
 _RETRY_TAG = 0x243F6A8885A308D3
 # about this many bytes of draws per chunk of trials
 _CHUNK_BYTES = 1 << 19
-
-SAMPLERS = ("direct", "wishart")
 
 _SRRC_ROLLOFF = 0.5
 _SRRC_SPS = 8      # samples per symbol
@@ -111,7 +100,8 @@ _SRRC_SPAN = 10    # pulse truncation, in symbols
 
 def trial_seed(seed: int, index: int | np.ndarray):
     """Per-trial seed: batch seed XOR a hash of the trial index (entrywise for an array)."""
-    return (int(seed) & (2 ** 64 - 1)) ^ mix(index)
+    _check_seed(seed, "trial_seed")
+    return int(seed) ^ mix(index)
 
 
 def _check_seed(seed, caller: str) -> None:
@@ -317,7 +307,6 @@ class TrialBatch:
     lambda_max: np.ndarray
     lambda_min: np.ndarray
     t_stat: np.ndarray
-    sampler: str
     retries: int
 
     def __post_init__(self):
@@ -338,13 +327,11 @@ def run_trials(
     seed: int = 0,
     sigma_v2: float = 1.0,
     redraw_channel: bool = False,
-    sampler: str = "wishart",
 ) -> TrialBatch:
     """Run seeded MC trials of the ratio detector; bit-reproducible per seed in [0, 2^64).
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
-    scenario supplied, its own noise variance is used.  ``sampler`` is
-    ``"wishart"`` or ``"direct"``.
+    scenario supplied, its own noise variance is used.
     """
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise DomainError("run_trials: trials must be an integer >= 1")
@@ -357,9 +344,7 @@ def run_trials(
         sigma_v2 = scenario.sigma_v2
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("run_trials: sigma_v2 must be positive and finite")
-    if sampler not in SAMPLERS:
-        raise DomainError(f"run_trials: unknown sampler {sampler!r}; expected one of {SAMPLERS}")
-    draw, draw_bytes = _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler)
+    draw, draw_bytes = _trial_draw(design, scenario, sigma_v2, redraw_channel)
     chunk = max(1, _CHUNK_BYTES // draw_bytes)
 
     # a freed 4 MB block lifts glibc's mmap threshold: trial arrays then stay on its heap
@@ -401,40 +386,19 @@ def run_trials(
         lambda_max=lam_max,
         lambda_min=lam_min,
         t_stat=lam_max / lam_min,
-        sampler=sampler,
         retries=len(failed),
     )
 
 
-def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
+def _trial_draw(design, scenario, sigma_v2, redraw_channel):
     """The batch's route, as ``(draw, draw_bytes)``: ``draw(trial_seeds) -> (lambda_min,
     lambda_max)`` gives one entry per trial seed, and about ``draw_bytes`` of draws per trial
-    set the chunk size.  ``"wishart"`` bisects B B^T for at most one source (drawing of its
-    source only what ||z||^2 needs: uniform rows whole, in blocks of about ``_CHUNK_BYTES``)
-    and factors W L for more."""
+    set the chunk size.  It bisects B B^T for at most one source (drawing of its source
+    only what ||z||^2 needs: uniform rows whole, in blocks of about ``_CHUNK_BYTES``) and
+    factors W L for more."""
     K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2
-        base_norms = np.sqrt(np.sum(np.abs(H) ** 2, axis=0))
-
-    def channel(seeds):
-        if not redraw_channel:
-            return H
-        g = SeededStream(seeds ^ CHANNEL_TAG).standard_complex_normal((K, P))
-        norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=-2))
-        return g * (base_norms / norms)[:, None, :]
-
-    if sampler == "direct":
-        def draw(seeds):
-            Y = gen_noise(K, N, sigma_v2, seeds ^ NOISE_TAG)
-            if scenario is not None:
-                Y = channel(seeds) @ gen_signal(P, N, scenario.modulation, sigma2,
-                                                seeds ^ SIGNAL_TAG) + Y
-            w = np.linalg.eigvalsh((Y @ Y.conj().swapaxes(-1, -2)) / N)
-            return w[:, 0], w[:, -1]
-
-        return draw, 16 * (K + design.P) * N
-
     scale = sigma_v2 / N
     if P <= 1:
         # the law depends on the channel only through sigma^2 ||h||^2, which a redrawn one keeps
@@ -452,6 +416,15 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel, sampler):
             return lam_min * scale, lam_max * scale
 
         return draw, 8 * (2 * K - 1)
+
+    base_norms = np.sqrt(np.sum(np.abs(H) ** 2, axis=0))
+
+    def channel(seeds):
+        if not redraw_channel:
+            return H
+        g = SeededStream(seeds ^ CHANNEL_TAG).standard_complex_normal((K, P))
+        norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=-2))
+        return g * (base_norms / norms)[:, None, :]
 
     def mixing(H):
         """W = [H Sigma^(1/2) / sigma_v, I_K], so that Y / sigma_v = W [Z; V / sigma_v]."""
@@ -556,9 +529,9 @@ def dump_batch_csv(path, batch: TrialBatch) -> None:
         mod, rho = batch.scenario.modulation.value, snr(batch.scenario)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
-            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g sampler=%s retries=%d\n"
+            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g retries=%d\n"
             % (batch.design.K, batch.design.N, batch.seed, batch.trials, mod, rho,
-               batch.sampler, batch.retries)
+               batch.retries)
         )
         fh.write("trial,lambda_max,lambda_min,t\n")
         for i in range(batch.trials):

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Monte Carlo batches
-are seeded, so every number below is reproducible bit for bit.
+Run with ``pytest tests/test_acceptance.py -v -s``; every test here carries the
+``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest.  Monte
+Carlo batches are seeded and drawn whole by ``reference_sampler.direct_trials``,
+the streams the criteria were recorded on, so every number below is
+reproducible bit for bit.
 
 Two criteria are implemented faithfully but expected to fail, with the
 quantitative analysis in the companion physics tests next to them:
@@ -40,12 +43,7 @@ from eigendetect.performance import (
     threshold_from_pfa,
     threshold_from_pmd,
 )
-from eigendetect.simulate import (
-    ks_distance,
-    run_trials,
-    scenario_from_component_snrs,
-    scenario_from_snr,
-)
+from eigendetect.simulate import ks_distance, scenario_from_component_snrs, scenario_from_snr
 from eigendetect.spiked import (
     DetectorDesign,
     critical_snr,
@@ -54,10 +52,12 @@ from eigendetect.spiked import (
 )
 from eigendetect.tracy_widom import default_table, gue_cdf, gue_pdf
 
+from reference_sampler import direct_trials
+
 SEED = 20260809
 TW_MEAN = -1.7710868074
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+pytestmark = [pytest.mark.acceptance, pytest.mark.filterwarnings("ignore::RuntimeWarning")]
 
 
 def check(num, ok, detail):
@@ -80,15 +80,14 @@ def prefix(batch, m):
 
 @pytest.fixture(scope="module")
 def h0_50_10k():
-    return run_trials(DetectorDesign(50, 1000, 1), None, trials=10000, seed=SEED,
-                      sampler="direct")
+    return direct_trials(DetectorDesign(50, 1000, 1), None, trials=10000, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def h0_batches(h0_50_10k):
     return {
         K: prefix(h0_50_10k, 5000) if K == 50 else
-        run_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED, sampler="direct")
+        direct_trials(DetectorDesign(K, 1000, 1), None, trials=5000, seed=SEED)
         for K in (20, 50, 100)
     }
 
@@ -97,21 +96,21 @@ def h0_batches(h0_50_10k):
 def h1_batch_10db():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.1, seed=SEED + 2)
-    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct")
+    return direct_trials(d, sc, trials=5000, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def h1_batch_20db():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.01, seed=SEED + 2)
-    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct")
+    return direct_trials(d, sc, trials=5000, seed=SEED)
 
 
 @pytest.fixture(scope="module")
 def h1_batch_20db_10k():
     d = DetectorDesign(50, 1000, 1)
     sc = scenario_from_snr(50, 0.01, seed=SEED + 2)
-    return run_trials(d, sc, trials=10000, seed=SEED + 1, sampler="direct")
+    return direct_trials(d, sc, trials=10000, seed=SEED + 1)
 
 
 # --- criterion 1: Tracy-Widom engine vs GUE Monte Carlo ----------------------
@@ -205,7 +204,7 @@ def p2_batch():
     d = DetectorDesign(50, 1000, 2)
     sc = scenario_from_component_snrs(50, (0.06, 0.04), seed=SEED + 3)
     t1 = spike_spectrum(sc, d).t1
-    return run_trials(d, sc, trials=5000, seed=SEED, sampler="direct"), t1
+    return direct_trials(d, sc, trials=5000, seed=SEED), t1
 
 
 @pytest.mark.xfail(
@@ -246,11 +245,11 @@ def test_c06_convergence(h0_batches):
             if hyp == "H0":
                 # at N = 1000 this batch is a prefix of c03's
                 b = (prefix(h0_batches[K], 2000) if N == 1000 else
-                     run_trials(d, None, trials=2000, seed=SEED, sampler="direct"))
+                     direct_trials(d, None, trials=2000, seed=SEED))
                 kss.append(ks_distance(b, law_cdf(d, "H0")))
             else:
                 sc = scenario_from_snr(K, 1.0 / K, seed=SEED + 2)  # t1 = 2
-                b = run_trials(d, sc, trials=2000, seed=SEED, sampler="direct")
+                b = direct_trials(d, sc, trials=2000, seed=SEED)
                 kss.append(ks_distance(b, law_cdf(d, "H1", t1=2.0)))
         seqs[hyp] = kss
     ok = all(
@@ -289,7 +288,7 @@ def transition_batches():
     out = {}
     for t1 in (1.2, 2.0):
         sc = scenario_from_snr(50, (t1 - 1.0) / 50.0, seed=SEED + 1)
-        out[t1] = run_trials(d, sc, trials=2000, seed=SEED, sampler="direct")
+        out[t1] = direct_trials(d, sc, trials=2000, seed=SEED)
     return out
 
 
@@ -353,7 +352,7 @@ def test_c09_threshold_inversion():
 def test_c10_noise_blindness(h0_50_10k):
     d = DetectorDesign(50, 1000, 1)
     b1 = prefix(h0_50_10k, 500)  # sigma_v2 = 1
-    b10 = run_trials(d, None, trials=500, seed=SEED, sigma_v2=10.0, sampler="direct")
+    b10 = direct_trials(d, None, trials=500, seed=SEED, sigma_v2=10.0)
     t_gap = float(np.max(np.abs(b10.t_stat - b1.t_stat) / b1.t_stat))
     g1 = threshold_from_pfa(0.01, d)
     g2 = threshold_from_pfa(0.01, DetectorDesign(50, 1000, 1))
@@ -400,10 +399,10 @@ def test_c12_non_gaussian():
     kss = {}
     for mod in ("qpsk", "qpsk_srrc", "psk_noncoherent", "uniform_complex"):
         sc = scenario_from_snr(50, 0.01, modulation=mod, seed=SEED + 2)
-        kss[mod] = ks_distance(run_trials(d, sc, trials=5000, seed=SEED, sampler="direct"), cdf)
+        kss[mod] = ks_distance(direct_trials(d, sc, trials=5000, seed=SEED), cdf)
 
     sc10 = scenario_from_snr(50, 0.1, modulation="qpsk", seed=SEED + 2)
-    b10 = run_trials(d, sc10, trials=5000, seed=SEED, sampler="direct")
+    b10 = direct_trials(d, sc10, trials=5000, seed=SEED)
     g10 = threshold_from_pmd(0.10, d, 6.0)
     emp10 = float(np.mean(b10.t_stat < g10))
 
@@ -480,8 +479,7 @@ def test_h1_top_eigenvalue_mean_location(transition_batches):
 def test_cli_simulate_full_size(capsys):
     from eigendetect.cli import main
 
-    rc = main(["simulate", "--k", "50", "--n", "1000", "--trials", "5000", "--seed", "7",
-               "--sampler", "direct"])
+    rc = main(["simulate", "--k", "50", "--n", "1000", "--trials", "5000", "--seed", "7"])
     out = capsys.readouterr().out
     ks = float(out.split()[1])
     check("cli", rc == 0 and ks <= 0.03, "simulate --seed 7 printed KS = %.4f" % ks)

@@ -230,17 +230,7 @@ def test_simulate_h0_outputs_and_determinism(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == first
     assert (tmp_path / "d.csv").read_bytes() == dump_first
     header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header == ("# K=20 N=400 seed=7 trials=300 modulation=none snr=0 "
-                      "sampler=wishart retries=0")
-
-
-def test_simulate_direct_sampler_reproduces_older_seeds(tmp_path, capsys):
-    # the KS this command printed before the Wishart sampler became the default
-    rc, out, _ = run_cli(capsys, "simulate", "--k", "20", "--n", "400", "--trials", "300",
-                         "--seed", "7", "--sampler", "direct", "--dump", str(tmp_path / "d.csv"))
-    assert rc == 0 and out.splitlines()[0] == "ks 0.074417"
-    header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header.endswith(" sampler=direct retries=0")
+    assert header == "# K=20 N=400 seed=7 trials=300 modulation=none snr=0 retries=0"
 
 
 def test_simulate_with_scenario_file(tmp_path, capsys):
@@ -285,7 +275,7 @@ def test_simulate_wishart_sampler_takes_k_above_n_minus_p(tmp_path, capsys):
         scenario = tmp_path / f"{modulation}.json"
         scenario.write_text(json.dumps(doc))
         args = ("simulate", "--scenario", str(scenario), "--trials", "200")
-        rc, out, err = run_cli(capsys, *args, "--sampler", "wishart")
+        rc, out, err = run_cli(capsys, *args)
         assert rc == 0 and out.startswith("ks ") and err == ""
         assert run_cli(capsys, *args) == (0, out, "")
 
@@ -366,6 +356,8 @@ def test_io_failure_exit_code(capsys):
         ("simulate", "--k", "4", "--n", "40", "--trials", "200", "--seed", "-1"),
         # tw-table writes the packaged table: there is no solve to tune
         ("tw-table", "--out", "tw.csv", "--tolerance", "1e-10"),
+        # simulate has one trial path per source model: there is no sampler to pick
+        ("simulate", "--k", "20", "--n", "400", "--trials", "300", "--sampler", "direct"),
     ],
 )
 def test_bad_numbers_exit_2_without_nan(capsys, argv):

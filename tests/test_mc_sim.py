@@ -20,8 +20,6 @@ from eigendetect.errors import DomainError, NumericError
 from eigendetect.rng import SeededStream, mix
 from eigendetect.simulate import (
     CHANNEL_TAG,
-    NOISE_TAG,
-    SAMPLERS,
     SIGNAL_TAG,
     TrialBatch,
     WISHART_TAG,
@@ -39,6 +37,8 @@ from eigendetect.simulate import (
     trial_seed,
 )
 from eigendetect.spiked import DetectorDesign, Modulation, Scenario, snr, spike_spectrum
+
+from reference_sampler import NOISE_TAG, direct_trials
 
 
 # --- pinned RNG --------------------------------------------------------------
@@ -223,6 +223,8 @@ def test_unknown_modulation_rejected():
         gen_signal(1, 10, "gmsk", [1.0], 0)
     with pytest.raises(DomainError):
         gen_signal(1, 8, "qpsk", [math.nan], 1)
+    with pytest.raises(DomainError, match="sigma2 must hold one power per source"):
+        gen_signal(2, 8, "qpsk", [1.0], 1)
     for P, N in ((1, 4.5), (1.0, 4), (1, 0), (True, 4)):
         with pytest.raises(DomainError, match="P and N must be positive integers"):
             gen_signal(P, N, "qpsk", [1.0], 1)
@@ -288,9 +290,9 @@ def test_batch_noise_scale_cancels_in_ratio():
 
 
 def test_batch_trace_identity():
-    # reconstruct trials from the documented seed chain and compare traces
+    # reconstruct the reference's trials from its seed chain and compare traces
     d = DetectorDesign(8, 64, 1)
-    b = run_trials(d, None, trials=10, seed=21, sigma_v2=1.5, sampler="direct")
+    b = direct_trials(d, None, trials=10, seed=21, sigma_v2=1.5)
     for i in range(10):
         ts = trial_seed(21, i)
         Y = gen_noise(8, 64, 1.5, ts ^ NOISE_TAG)
@@ -329,8 +331,12 @@ def test_batch_redraw_channel_changes_trials_but_stays_seeded():
 
 def test_batch_scenario_design_mismatch():
     sc = scenario_from_snr(10, 0.5, seed=3)
-    with pytest.raises(DomainError):
-        run_trials(DetectorDesign(12, 100, 1), sc, trials=5, seed=0)
+    for design, which in ((DetectorDesign(12, 100, 1), "K"), (DetectorDesign(10, 100, 2), "P")):
+        message = f"design and scenario disagree on {which}"
+        with pytest.raises(DomainError, match="run_trials: " + message):
+            run_trials(design, sc, trials=5, seed=0)
+        with pytest.raises(DomainError, match="spike_spectrum: " + message):
+            spike_spectrum(sc, design)
 
 
 def _eigvalsh_stacks(monkeypatch):
@@ -357,10 +363,10 @@ def _bidiagonal_draws(monkeypatch):
     return draws
 
 
-def _gram_matrices(monkeypatch, design, scenario, sampler, seeds):
+def _gram_matrices(monkeypatch, design, scenario, seeds):
     """The matrices np.linalg.eigvalsh factors for the trials drawn from these seeds."""
     stacks = _eigvalsh_stacks(monkeypatch)
-    draw, _ = _trial_draw(design, scenario, 1.0, False, sampler)
+    draw, _ = _trial_draw(design, scenario, 1.0, False)
     draw(np.array(sorted(seeds), dtype=np.uint64))
     monkeypatch.undo()
     return list(stacks[0])
@@ -379,32 +385,28 @@ def _flaky_eigvalsh(monkeypatch, failing):
 
 
 def _eigvalsh_batches():
-    """(design, scenario, sampler) at K=8, N=64 for batches whose trials factor a Gram matrix
-    with np.linalg.eigvalsh: noise only and one QPSK source on "direct", two QPSK and two
-    Gaussian sources on "wishart".  Noise-only and one-source Wishart batches bisect a
-    tridiagonal instead, and a bisection raises no LinAlgError."""
-    qpsk = scenario_from_snr(8, 0.5, modulation="qpsk", seed=2)
-    qpsk2 = scenario_from_component_snrs(8, (0.3, 0.2), modulation="qpsk", seed=2)
-    gauss2 = scenario_from_component_snrs(8, (0.3, 0.2), seed=2)
-    for sc, sampler in ((None, "direct"), (qpsk, "direct"), (qpsk2, "wishart"),
-                        (gauss2, "wishart")):
-        yield DetectorDesign(8, 64, 1 if sc is None else sc.P), sc, sampler
+    """(design, scenario) at K=8, N=64 for batches whose trials factor a Gram matrix with
+    np.linalg.eigvalsh: two QPSK and two Gaussian sources.  Noise-only and one-source batches
+    bisect a tridiagonal instead, and a bisection raises no LinAlgError."""
+    for modulation in ("qpsk", "gaussian"):
+        yield (DetectorDesign(8, 64, 2),
+               scenario_from_component_snrs(8, (0.3, 0.2), modulation=modulation, seed=2))
 
 
 def test_batch_retries_a_failed_eigensolve(monkeypatch):
-    for d, sc, sampler in _eigvalsh_batches():
-        clean = run_trials(d, sc, trials=10, seed=21, sampler=sampler)
-        trial_3 = _gram_matrices(monkeypatch, d, sc, sampler, {trial_seed(21, 3)})
+    for d, sc in _eigvalsh_batches():
+        clean = run_trials(d, sc, trials=10, seed=21)
+        trial_3 = _gram_matrices(monkeypatch, d, sc, {trial_seed(21, 3)})
         batches = []
         for _ in range(2):
             _flaky_eigvalsh(monkeypatch, trial_3)  # the first attempt of trial 3
-            batches.append(run_trials(d, sc, trials=10, seed=21, sampler=sampler))
+            batches.append(run_trials(d, sc, trials=10, seed=21))
             monkeypatch.undo()
         a, b = batches
         assert np.array_equal(a.t_stat, b.t_stat)
-        assert (clean.retries, a.retries, a.sampler) == (0, 1, sampler)
+        assert (clean.retries, a.retries) == (0, 1)
         # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
-        draw, _ = _trial_draw(d, sc, 1.0, False, sampler)
+        draw, _ = _trial_draw(d, sc, 1.0, False)
         (lo,), (hi,) = draw(np.array([trial_seed(21, 3) ^ _RETRY_TAG], dtype=np.uint64))
         assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
         assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
@@ -427,18 +429,19 @@ def test_batch_retries_a_failed_eigensolve(monkeypatch):
      {trial_seed(21, 0), trial_seed(21, 0) ^ _RETRY_TAG}],  # a failed retry
 )
 def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
-    for d, sc, sampler in _eigvalsh_batches():
-        failing = _gram_matrices(monkeypatch, d, sc, sampler, failing_calls)
+    for d, sc in _eigvalsh_batches():
+        failing = _gram_matrices(monkeypatch, d, sc, failing_calls)
         _flaky_eigvalsh(monkeypatch, failing)
         with pytest.raises(NumericError, match="eigensolver failed"):
-            run_trials(d, sc, trials=10, seed=21, sampler=sampler)
+            run_trials(d, sc, trials=10, seed=21)
         monkeypatch.undo()
 
 
 # sha256 over the t_stat bytes of one batch per trial count, at (8, 64) (a wide/ case at
 # (9, 10)) with batch seed 5 and sigma_v2 1.5 (the scenario's own elsewhere), recorded when
 # every trial was drawn and solved alone.  The counts are 1, c - 1, c, c + 1 and 2c + 3 for
-# the chunk size c of each case.
+# the chunk size c of each case.  An @direct case runs reference_sampler.direct_trials:
+# its digests were recorded on the library's retired "direct" sampler.
 BATCH_PINS = {
     "h0": ((1, 4368, 4369, 4370, 8741),
         "3b6a295767a0809ec169a6482f6949a2927c9281b98c50658f1f19dc19685b44"),
@@ -468,22 +471,21 @@ BATCH_PINS = {
 
 
 def _pin_case(case):
-    """(design, scenario, redraw_channel, sampler) of a BATCH_PINS key: an EQ case at (8, 64)
-    (or at EQ_WIDE_KN for a wide/ case)."""
-    case, _, sampler = case.partition("@")
-    return (*_eq_case(case, (8, 64)), sampler or "wishart")
+    """(design, scenario, redraw_channel, batch function) of a BATCH_PINS key: an EQ case at
+    (8, 64) (or at EQ_WIDE_KN for a wide/ case), on direct_trials for an @direct key."""
+    case, _, direct = case.partition("@")
+    return (*_eq_case(case, (8, 64)), direct_trials if direct else run_trials)
 
 
 @pytest.mark.parametrize("case", BATCH_PINS)
 def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
     counts, digest = BATCH_PINS[case]
-    d, sc, redraw, sampler = _pin_case(case)
+    d, sc, redraw, run = _pin_case(case)
     # a chunk is one stack of Gram matrices, or one bidiagonal draw on the tridiagonal route
     stacks, draws = _eigvalsh_stacks(monkeypatch), _bidiagonal_draws(monkeypatch)
     h = hashlib.sha256()
     for n in counts:
-        b = run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
-                       sampler=sampler)
+        b = run(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw)
         h.update(b.t_stat.tobytes())
     c = counts[2]
     # the counts straddle the chunk edges
@@ -494,12 +496,11 @@ def test_batches_are_pinned_across_chunk_edges(monkeypatch, case):
 @pytest.mark.parametrize("case", ["h0", "p1_fixed", "qpsk_srrc/p1_fixed", "qpsk/p2_redraw",
                                   "qpsk/p2_redraw@direct", "wide/qpsk/p2_redraw"])
 def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
-    d, sc, redraw, sampler = _pin_case(case)
+    d, sc, redraw, run = _pin_case(case)
     counts, _ = BATCH_PINS[case]
 
     def batch(n):
-        return run_trials(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw,
-                          sampler=sampler)
+        return run(d, sc, trials=n, seed=5, sigma_v2=1.5, redraw_channel=redraw)
 
     full = batch(counts[-1])
     for m in counts[:-1]:
@@ -512,8 +513,7 @@ def test_batches_are_prefix_and_chunk_invariant(monkeypatch, case):
     assert np.array_equal(alone.lambda_max, full.lambda_max)
 
 
-@pytest.mark.parametrize("sampler", SAMPLERS)
-def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sampler):
+def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch):
     stacks = _eigvalsh_stacks(monkeypatch)
     draws = _bidiagonal_draws(monkeypatch)  # a noise-only Wishart batch solves no Gram matrix
     d = DetectorDesign(8, 64, 1)
@@ -521,12 +521,12 @@ def test_batch_rejects_bad_trials_and_noise_before_any_trial(monkeypatch, sample
         warnings.simplefilter("error")
         for sigma_v2 in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="sigma_v2 must be positive and finite"):
-                run_trials(d, None, trials=2000, seed=1, sigma_v2=sigma_v2, sampler=sampler)
+                run_trials(d, None, trials=2000, seed=1, sigma_v2=sigma_v2)
         for trials in (10.0, True, 0, -3, "10", None):
             with pytest.raises(DomainError, match="trials must be an integer >= 1"):
-                run_trials(d, None, trials=trials, seed=1, sampler=sampler)
+                run_trials(d, None, trials=trials, seed=1)
     assert stacks == draws == []
-    assert run_trials(d, None, trials=np.int64(3), seed=1, sampler=sampler).trials == 3
+    assert run_trials(d, None, trials=np.int64(3), seed=1).trials == 3
 
 
 def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
@@ -537,6 +537,7 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
     d = DetectorDesign(8, 64, 1)
     # -1 and 2^64 used to wrap onto the trials of 2^64 - 1 and 0
     seeded = (lambda seed: run_trials(d, None, trials=3, seed=seed),
+              lambda seed: trial_seed(seed, 0),
               lambda seed: scenario_from_component_snrs(8, [0.5], seed=seed),
               lambda seed: gen_noise(4, 8, 1.0, seed),
               lambda seed: gen_signal(1, 8, "qpsk", [1.0], seed))
@@ -554,6 +555,11 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
     top = run_trials(d, None, trials=3, seed=np.uint64(2 ** 64 - 1))
     assert top.seed == 2 ** 64 - 1
     assert np.array_equal(top.t_stat, run_trials(d, None, trials=3, seed=2 ** 64 - 1).t_stat)
+    # a valid seed keeps its bits
+    top_seed = 2 ** 64 - 1
+    assert trial_seed(top_seed, 3) == trial_seed(np.uint64(top_seed), 3) == top_seed ^ mix(3)
+    assert np.array_equal(trial_seed(7, np.arange(3, dtype=np.uint64)),
+                          [7 ^ mix(i) for i in range(3)])
     # a chunk's uint64 trial seeds draw row by row
     chunk = np.array([0, 2 ** 64 - 1], dtype=np.uint64)
     assert np.array_equal(gen_noise(4, 8, 1.0, chunk)[1], gen_noise(4, 8, 1.0, 2 ** 64 - 1))
@@ -563,11 +569,11 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
 
 # --- samplers ----------------------------------------------------------------------
 #
-# The two samplers must give the same law.  The constants below are fixed, not
-# tuned to the outcome: the geometry (K=10, N=100), 2000 trials per batch, direct
-# batches on seed 101, Wishart batches on seed 202 (distinct, so a redrawn channel
-# is independent across the two), scenario channels on seed 7, and a two-sample KS
-# test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.  Each
+# run_trials must give the law of Y = H S + V drawn whole (reference_sampler.direct_trials).
+# The constants below are fixed, not tuned to the outcome: the geometry (K=10, N=100), 2000
+# trials per batch, direct batches on seed 101, Wishart batches on seed 202 (distinct, so a
+# redrawn channel is independent across the two), scenario channels on seed 7, and a
+# two-sample KS test on t_stat, lambda_max and lambda_min that rejects at p < 1e-3.  Each
 # non-Gaussian modulation has one-source cases with a fixed and a redrawn channel and a
 # two-source case with a redrawn channel.  Two "wide/" cases run at (K=9, N=10),
 # declared with the rest, where K + P > N and the Bartlett factor is trapezoidal.
@@ -608,11 +614,10 @@ def _eq_pvalues(case):
     """Two-sample KS p-values of a fresh Wishart batch against the (cached) direct one."""
     d, sc, redraw = _eq_case(case)
     if case not in _DIRECT_BATCHES:
-        _DIRECT_BATCHES[case] = run_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["direct"],
-                                           redraw_channel=redraw, sampler="direct")
+        _DIRECT_BATCHES[case] = direct_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["direct"],
+                                              redraw_channel=redraw)
     a = _DIRECT_BATCHES[case]
-    b = run_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["wishart"], redraw_channel=redraw,
-                   sampler="wishart")
+    b = run_trials(d, sc, trials=EQ_TRIALS, seed=EQ_SEEDS["wishart"], redraw_channel=redraw)
     return {name: ks_2samp(getattr(a, name), getattr(b, name)).pvalue
             for name in ("t_stat", "lambda_max", "lambda_min")}
 
@@ -726,33 +731,28 @@ def test_sampler_equivalence_rejects_a_wrong_bidiagonal(monkeypatch, wrong, case
     assert min(p.values()) < EQ_ALPHA, p
 
 
-def test_sampler_choice_follows_the_modulation():
-    # every modulation has a Wishart route (the bidiagonal for one source, the factor of
-    # K + P for more), so the default is wishart for all of them
+def test_sampler_choice_follows_the_modulation(monkeypatch):
+    # every modulation has a Wishart route: the bidiagonal for at most one source, the
+    # factor of K + P for more, also where K > N - P (at (9, 10) the Bartlett factor of
+    # K + P = 11 is 11 x 10, lower-trapezoidal)
+    stacks, draws = _eigvalsh_stacks(monkeypatch), _bidiagonal_draws(monkeypatch)
     d = DetectorDesign(6, 40, 1)
-    gauss = scenario_from_snr(6, 0.5, seed=1)
-    qpsk = scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)
-    assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
-    assert run_trials(d, gauss, trials=3, seed=1).sampler == "wishart"
-    assert run_trials(d, qpsk, trials=3, seed=1).sampler == "wishart"
-    # K > N - P too: the Bartlett factor of K + P = 11 is 11 x 10, lower-trapezoidal
+    for sc in (None, scenario_from_snr(6, 0.5, seed=1),
+               scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)):
+        assert run_trials(d, sc, trials=3, seed=1).retries == 0
+    assert (len(draws), stacks) == (3, [])
     d = DetectorDesign(9, 10, 2)
     for modulation in ("qpsk", "gaussian"):
         sc = scenario_from_component_snrs(9, (0.5, 0.3), modulation=modulation, seed=1)
-        b = run_trials(d, sc, trials=3, seed=1)
-        assert b.sampler == "wishart"
-        assert np.array_equal(b.t_stat, run_trials(d, sc, trials=3, seed=1,
-                                                   sampler="wishart").t_stat)
-    assert run_trials(d, None, trials=3, seed=1).sampler == "wishart"
-    with pytest.raises(DomainError, match="unknown sampler"):
-        run_trials(d, None, trials=3, seed=1, sampler="bartlett")
+        assert run_trials(d, sc, trials=3, seed=1).retries == 0
+    assert (len(draws), [a.shape for a in stacks]) == (3, [(3, 9, 9)] * 2)
 
 
 def test_wishart_sampler_factors_a_rank_deficient_signal():
     # at N = 5 two QPSK rows are collinear in 1 trial of 256, and S S^H is singular
     d = DetectorDesign(3, 5, 2)
     sc = scenario_from_component_snrs(3, (0.5, 0.3), modulation="qpsk", seed=1)
-    b = run_trials(d, sc, trials=2000, seed=4, sampler="wishart")
+    b = run_trials(d, sc, trials=2000, seed=4)
     assert b.retries == 0
     grams = [S @ S.conj().T for S in (gen_signal(2, 5, "qpsk", sc.sigma2,
                                                  trial_seed(4, i) ^ SIGNAL_TAG)
@@ -841,7 +841,7 @@ def _batch_and_rebuild(case, N, trials=6, seed=33, sigma_v2=1.5):
     H = scenario_from_component_snrs(K, (0.3, 0.2), sigma_v2=sigma_v2, seed=5).H
     sc, redraw = Scenario(H, [2.0, 0.5], sigma_v2, modulation), channel == "redraw"
     batch = run_trials(DetectorDesign(K, N, 2), sc, trials=trials, seed=seed,
-                       sigma_v2=sigma_v2, redraw_channel=redraw, sampler="wishart")
+                       sigma_v2=sigma_v2, redraw_channel=redraw)
 
     def norms(A):
         return np.sqrt(np.sum(np.abs(A) ** 2, axis=0))
@@ -1110,11 +1110,13 @@ def test_ks_distance_rejects_a_bad_cdf():
 def test_batch_rejects_non_finite_eigenvalues():
     d = DetectorDesign(10, 100, 1)
     fields = dict(design=d, scenario=None, seed=0, trials=2, sigma_v2=1.0,
-                  lambda_min=[1.0, 1.0], t_stat=[2.0, 2.0], sampler="direct", retries=0)
+                  lambda_min=[1.0, 1.0], t_stat=[2.0, 2.0], retries=0)
     TrialBatch(lambda_max=[2.0, 2.0], **fields)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
             TrialBatch(lambda_max=[2.0, bad], **fields)
+    with pytest.raises(DomainError, match="lambda_max >= lambda_min > 0"):
+        TrialBatch(lambda_max=[2.0, 0.5], **fields)
 
 
 # --- CSV dumps -----------------------------------------------------------------
@@ -1126,8 +1128,7 @@ def test_dump_batch_csv(tmp_path):
     path = tmp_path / "batch.csv"
     dump_batch_csv(path, b)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2")
-    assert lines[0].endswith(" sampler=wishart retries=0")
+    assert lines[0] == "# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2 retries=0"
     assert lines[1] == "trial,lambda_max,lambda_min,t"
     assert len(lines) == 22
     row = lines[2].split(",")

@@ -67,6 +67,10 @@ def test_scenario_validation():
         Scenario(np.ones((5, 1)), [1.0], 0.0)  # zero noise
     with pytest.raises(DomainError):
         Scenario(np.ones((5, 1)), [1.0], 1.0, modulation="oqpsk")
+    with pytest.raises(DomainError, match="H must be a K x P matrix"):
+        Scenario(np.ones(5), [1.0], 1.0)
+    with pytest.raises(DomainError, match="sigma2 must hold one power per source"):
+        Scenario(np.ones((5, 2)), [1.0], 1.0)
     for H, sigma2, sigma_v2 in (
         (np.full((5, 1), np.nan), [1.0], 1.0),
         (np.full((5, 1), np.inf), [1.0], 1.0),
@@ -314,6 +318,8 @@ def test_scenario_json_rejects_ambiguous_forms():
         {"K": 4, "N": 100.5, "snr": 0.5},
         '{"K": "4", "N": 100, "snr": 0.5}',
         {"K": 2, "N": 50.5, "Sigma": [1.0], "H": [[[1, 0]], [[1, 0]]]},
+        {"N": 50, "snr": 0.1},  # missing field
+        {"K": 3, "N": 50, "Sigma": [1.0], "H": [[[1, 0]], [[1, 0]]]},  # two rows for K = 3
     ],
 )
 def test_scenario_json_malformed_raises_domain_error(source):
