@@ -48,9 +48,8 @@ stream may change between releases:
   Bloemendal & Virag 2013).  The simulator draws it from
   ``trial_seed XOR WISHART_TAG`` for at most one source: s = 0 for none, and
   ``s = sigma ||h|| ||z|| / sigma_v`` for a unit-power source row ``z``, whose
-  ``||z||^2`` is one Gamma(N) for a Gaussian row, N for QPSK and
-  non-coherent PSK, a form in the QPSK symbols for SRRC QPSK and the drawn
-  row's sum for a uniform one (see :mod:`eigendetect.simulate`).
+  ``||z||^2`` each modulation draws as :func:`eigendetect.simulate._row_norm2`
+  states.
 
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
@@ -61,7 +60,11 @@ trials this way (see :mod:`eigendetect.simulate`).
 
 Derived seeds (per-trial, per-row) are produced with :func:`mix`, a
 SplitMix64-style hash of the counter (each of an array of counters, so a
-chunk's trial seeds are one array call), XORed into the parent seed.
+chunk's trial seeds are one array call), XORed into the parent seed.  A
+counter obeys the rule of a seed: an integer in [0, 2^64), not a bool
+(numpy integer scalars included), or where a call takes one per row a 1-D
+integer-dtype array of them; anything else raises ``DomainError`` rather
+than wrap or round onto another counter.
 """
 
 from __future__ import annotations
@@ -97,10 +100,22 @@ def _mix64(z):
     return z
 
 
+def _word(value, caller: str, name: str = "seed", rows: bool = False):
+    """The one rule for a seed or a counter: an integer in [0, 2^64), not a bool (numpy
+    integer scalars included), returned as an int; with ``rows``, also a 1-D integer-dtype
+    array of them, returned as a uint64 array (an unsigned array needs no scan)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 0 <= value < 2 ** 64:
+        return int(value)
+    if (rows and isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu"
+            and (value.dtype.kind == "u" or np.all(value >= 0))):
+        return value.astype(np.uint64, copy=False)
+    raise DomainError(f"{caller}: {name} must be an integer in [0, 2^64)")
+
+
 def mix(counter):
-    """64-bit hash of a small counter, for deriving child seeds; an integer array of counters
+    """64-bit hash of a counter, for deriving child seeds; a 1-D integer array of counters
     gives the uint64 array of their hashes."""
-    word = np.array(counter, np.uint64)
+    word = np.array(_word(counter, "mix", "counter", rows=True), np.uint64)
     with np.errstate(over="ignore"):
         word += _ONE
         word *= _GAMMA
@@ -109,16 +124,12 @@ def mix(counter):
 
 
 class SeededStream:
-    """Sequential view over the word streams of a seed, or of a 1-D array of seeds
+    """Sequential view over the word streams of a seed, or of a 1-D integer array of seeds
     (one cursor per row; row t of a draw is the draw of ``SeededStream(seeds[t])``).
-    A seed is an integer in [0, 2^64), not a bool; a uint64 array passes unchecked."""
+    A seed is an integer in [0, 2^64), not a bool (numpy integer scalars included)."""
 
     def __init__(self, seed):
-        if not (isinstance(seed, np.ndarray) and seed.dtype == np.uint64):
-            words = np.asarray(seed, dtype=object).reshape(-1)
-            if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
-                       and 0 <= w < 2 ** 64 for w in words):
-                raise DomainError("SeededStream: seeds must be integers in [0, 2^64)")
+        seed = _word(seed, "SeededStream", rows=True)
         self._lead = np.shape(seed)
         self._seed = np.asarray(seed, dtype=np.uint64).reshape(-1)
         self._cursor = np.zeros(self._seed.size, dtype=np.uint64)

@@ -16,10 +16,7 @@ stream itself):
 * from ``trial_seed XOR SIGNAL_TAG`` it draws the unit-power signal matrix
   ``Z`` of two or more non-Gaussian sources (row ``p`` of a signal matrix
   from ``gen_signal`` uses ``seed XOR mix(p)``), and of one source only
-  ``||z||^2``: one Gamma(N) for a Gaussian row, nothing for QPSK and
-  non-coherent PSK (``||z||^2 = N``), the QPSK symbols of an SRRC row
-  (``||z||^2`` is a banded form in them; they are the row's own words, from
-  ``seed XOR mix(0)``), and a whole uniform row;
+  what ``||z||^2`` needs (see :func:`_row_norm2`);
 * a redrawn channel comes from ``trial_seed XOR CHANNEL_TAG``.
 
 Trials run in chunks: a chunk's trial seeds are one ``trial_seed`` call
@@ -43,12 +40,8 @@ its entry (0, 0) (s = 0 under noise only; a redrawn channel keeps ||h||), so
 Y Y^H / sigma_v^2 has the eigenvalues of B B^T for a real bidiagonal B of
 2K - 1 chi entries whose first squared entry is |s + g|^2 + Gamma(N - 1), g a
 unit complex normal (Dumitriu & Edelman 2002; Bloemendal & Virag 2013).  The
-source enters only through ||z||^2: one Gamma(N) draw for a Gaussian row,
-exactly N for a constant-modulus QPSK or non-coherent PSK row, for SRRC QPSK
-(1/2) sum_j G_0[j] (re_j^2 + im_j^2) + sum_{d=1..10} sum_j G_d[j] (re_j re_{j+d}
-+ im_j im_{j+d}) over the signs re, im of its symbols, G_d the d-th diagonal
-of A^T A for the real map A from symbols to samples, and the drawn row's own
-sum for a uniform one.
+source enters only through ||z||^2, drawn per modulation as :func:`_row_norm2`
+states.
 These batches take lambda_min and lambda_max of the tridiagonal
 sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
 
@@ -60,15 +53,14 @@ per-source received powers preserved.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .rng import SeededStream, mix
-from .spiked import DetectorDesign, Modulation, Scenario, _as_modulation, _integers, snr
+from .rng import SeededStream, _word, mix
+from .spiked import DetectorDesign, Modulation, Scenario, _agree, _as_modulation, _integers, snr
 
 __all__ = [
     "SIGNAL_TAG",
@@ -100,15 +92,7 @@ _SRRC_SPAN = 10    # pulse truncation, in symbols
 
 def trial_seed(seed: int, index: int | np.ndarray):
     """Per-trial seed: batch seed XOR a hash of the trial index (entrywise for an array)."""
-    _check_seed(seed, "trial_seed")
-    return int(seed) ^ mix(index)
-
-
-def _check_seed(seed, caller: str) -> None:
-    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64:
-        return  # a chunk's trial seeds
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
-        raise DomainError(f"{caller}: seed must be an integer in [0, 2^64)")
+    return _word(seed, "trial_seed") ^ mix(_word(index, "trial_seed", "index", rows=True))
 
 
 def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
@@ -117,8 +101,7 @@ def gen_noise(K: int, N: int, sigma_v2: float, seed) -> np.ndarray:
         raise DomainError("gen_noise: K and N must be positive integers")
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("gen_noise: sigma_v2 must be positive and finite")
-    _check_seed(seed, "gen_noise")
-    z = SeededStream(seed).standard_complex_normal((K, N))
+    z = SeededStream(_word(seed, "gen_noise", rows=True)).standard_complex_normal((K, N))
     return math.sqrt(sigma_v2) * z
 
 
@@ -218,9 +201,13 @@ def _unit_row(stream: SeededStream, n: int, modulation: Modulation) -> np.ndarra
 
 def _row_norm2(N: int, modulation: Modulation, seeds: np.ndarray):
     """||z||^2 of each unit-power row z = gen_signal(1, N, modulation, [1.0], seeds[t]), in law
-    (``seeds`` a uint64 array): one Gamma(N) from the stream of seeds[t] for a Gaussian row;
-    N for a constant-modulus one (QPSK, non-coherent PSK), drawing nothing; and the row's own
-    value otherwise, for SRRC QPSK as the form of :func:`_srrc_gram` in its symbols alone."""
+    (``seeds`` a uint64 array), drawing only what it needs: one Gamma(N) from the stream of
+    seeds[t] for a Gaussian row; exactly N for QPSK and non-coherent PSK (constant modulus),
+    drawing nothing; for SRRC QPSK, over the signs re, im of the row's own symbols (from
+    ``seeds[t] XOR mix(0)``), (1/2) sum_j G_0[j] (re_j^2 + im_j^2) + sum_{d=1..10} sum_j G_d[j]
+    (re_j re_{j+d} + im_j im_{j+d}), G_d the d-th diagonal of A^T A for the real map A from
+    symbols to samples (:func:`_srrc_gram`); and the sum of a whole uniform row, drawn in
+    blocks of about ``_CHUNK_BYTES``."""
     if modulation is Modulation.GAUSSIAN:
         return SeededStream(seeds).standard_gamma([N])[:, 0]
     if modulation in (Modulation.QPSK, Modulation.PSK_NONCOHERENT):
@@ -248,8 +235,7 @@ def gen_signal(P: int, N: int, modulation, sigma2, seed) -> np.ndarray:
         raise DomainError("gen_signal: sigma2 must hold one power per source")
     if not np.all((sigma2 > 0.0) & (sigma2 < math.inf)):
         raise DomainError("gen_signal: source powers must be positive and finite")
-    _check_seed(seed, "gen_signal")
-    seed = int(seed) if np.ndim(seed) == 0 else seed
+    seed = _word(seed, "gen_signal", rows=True)
     out = np.empty(np.shape(seed) + (P, N), dtype=complex)
     for p in range(P):
         stream = SeededStream(seed ^ mix(p))
@@ -283,7 +269,7 @@ def scenario_from_component_snrs(
     """
     if not (_integers(K) and K >= 1):
         raise DomainError("scenario_from_component_snrs: K must be a positive integer")
-    _check_seed(seed, "scenario_from_component_snrs")
+    seed = _word(seed, "scenario_from_component_snrs")
     snrs = np.asarray(component_snrs, dtype=float).reshape(-1)
     if not (np.all((snrs > 0.0) & (snrs < math.inf)) and 0.0 < sigma_v2 < math.inf):
         raise DomainError("scenario_from_component_snrs: SNRs and sigma_v2 must be "
@@ -333,14 +319,11 @@ def run_trials(
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
     scenario supplied, its own noise variance is used.
     """
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not (_integers(trials) and trials >= 1):
         raise DomainError("run_trials: trials must be an integer >= 1")
-    _check_seed(seed, "run_trials")
+    seed = _word(seed, "run_trials")
     if scenario is not None:
-        if scenario.K != design.K:
-            raise DomainError("run_trials: design and scenario disagree on K")
-        if scenario.P != design.P:
-            raise DomainError("run_trials: design and scenario disagree on P")
+        _agree(design, scenario, "run_trials")
         sigma_v2 = scenario.sigma_v2
     if not 0.0 < sigma_v2 < math.inf:
         raise DomainError("run_trials: sigma_v2 must be positive and finite")
@@ -380,7 +363,7 @@ def run_trials(
     return TrialBatch(
         design=design,
         scenario=scenario,
-        seed=int(seed),
+        seed=seed,
         trials=trials,
         sigma_v2=float(sigma_v2),
         lambda_max=lam_max,
@@ -394,8 +377,7 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel):
     """The batch's route, as ``(draw, draw_bytes)``: ``draw(trial_seeds) -> (lambda_min,
     lambda_max)`` gives one entry per trial seed, and about ``draw_bytes`` of draws per trial
     set the chunk size.  It bisects B B^T for at most one source (drawing of its source
-    only what ||z||^2 needs: uniform rows whole, in blocks of about ``_CHUNK_BYTES``) and
-    factors W L for more."""
+    only what ||z||^2 needs, see :func:`_row_norm2`) and factors W L for more."""
     K, N, P = design.K, design.N, 0
     if scenario is not None:
         H, P, sigma2 = scenario.H, scenario.P, scenario.sigma2

@@ -62,6 +62,13 @@ def _integers(*values) -> bool:
     return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
 
 
+def _agree(design, scenario, caller: str) -> None:
+    """A scenario serves a design only with its K receivers and P sources."""
+    for name in ("K", "P"):
+        if getattr(design, name) != getattr(scenario, name):
+            raise DomainError(f"{caller}: design and scenario disagree on {name}")
+
+
 @dataclass(frozen=True)
 class DetectorDesign:
     """Sensing geometry: K receivers, N samples, P assumed sources.
@@ -202,10 +209,7 @@ def spike_spectrum(scenario: Scenario, design: DetectorDesign) -> SpikeSpectrum:
     congruent P x P matrix Sigma^(1/2) (H^H H) Sigma^(1/2), then mapped
     to t_p = s_p / sigma_v^2 + 1.
     """
-    if design.K != scenario.K:
-        raise DomainError("spike_spectrum: design and scenario disagree on K")
-    if design.P != scenario.P:
-        raise DomainError("spike_spectrum: design and scenario disagree on P")
+    _agree(design, scenario, "spike_spectrum")
 
     d = np.sqrt(scenario.sigma2)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -142,6 +142,14 @@ def test_trial_seeds_of_an_index_array_are_the_scalar_seeds():
         seeds = trial_seed(seed, idx)
         assert seeds.dtype == np.uint64
         assert [int(s) for s in seeds] == [trial_seed(seed, i) for i in range(5000)]
+        assert np.array_equal(trial_seed(seed, np.arange(5000)), seeds)  # int64 counters
+    # a counter that is not an integer in [0, 2^64) raises instead of aliasing another one
+    for counter in (1.5, True, "1", -1, 2 ** 64, np.array([0.5]), np.array([-1]),
+                    np.array([True])):
+        with pytest.raises(DomainError, match=r"index must be an integer in \[0, 2\^64\)"):
+            trial_seed(5, counter)
+        with pytest.raises(DomainError, match=r"counter must be an integer in \[0, 2\^64\)"):
+            mix(counter)
 
 
 # --- noise -------------------------------------------------------------------
@@ -544,11 +552,16 @@ def test_seeds_outside_64_bits_are_rejected_before_any_draw(monkeypatch):
     for seed, call in itertools.product((-1, 2 ** 64, 1.0, True, "3", None), seeded):
         with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
             call(seed)
+    # a batch, its trial seeds and a channel take one seed, not a row of them
+    rows = (np.array([1, 2], dtype=np.uint64), np.array([1], dtype=np.uint64))
+    for seed, call in itertools.product(rows, seeded[:3]):
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            call(seed)
     monkeypatch.undo()
     # the stream itself raises too, and coerces no float, bool or negative numpy seed
     for seed in (-1, 2 ** 64 + 5, [3, -1], [2 ** 64], 1.5, True, [1.5], np.int64(-1),
                  np.array([-1])):
-        with pytest.raises(DomainError, match=r"seeds must be integers in \[0, 2\^64\)"):
+        with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
             SeededStream(seed)
     assert np.array_equal(SeededStream(np.int64(5)).uniform_open(3),
                           SeededStream(5).uniform_open(3))
