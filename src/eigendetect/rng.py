@@ -54,9 +54,10 @@ stream may change between releases:
 A stream over a 1-D array of seeds is that many of these streams side by
 side, each with its own cursor: every draw gains a leading row axis, and
 row t is bit for bit the draw of the scalar stream of seed t.  A gamma draw
-runs its rounds jointly over the rows still open, so each row consumes the
-whole rounds it would consume alone.  The simulator draws a chunk of
-trials this way (see :mod:`eigendetect.simulate`).
+runs its rounds over blocks of rows, each round jointly over the block's rows
+still open, so each row consumes the whole rounds it would consume alone.
+The simulator draws a chunk of trials this way (see
+:mod:`eigendetect.simulate`).
 
 Derived seeds (per-trial, per-row) are produced with :func:`mix`, a
 SplitMix64-style hash of the counter (each of an array of counters, so a
@@ -87,6 +88,7 @@ _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _ONE = np.uint64(1)
 _TWO53 = float(2 ** -53)
+_ROUND_VALUES = 1 << 14  # about this many entries per gamma round, over a block of rows
 
 
 def _mix64(z):
@@ -175,20 +177,22 @@ class SeededStream:
         c = 1.0 / np.sqrt(9.0 * d)
         out = np.empty((self._seed.size, d.size))
         todo = np.ones(out.shape, dtype=bool)
-        rows = np.arange(self._seed.size)
-        while rows.size:
-            # a round draws words only for the rows with an entry still open
-            sub = object.__new__(SeededStream)
-            sub._lead, sub._seed, sub._cursor = rows.shape, self._seed[rows], self._cursor[rows]
-            x, u = sub.standard_normal(d.size), sub.uniform_open(d.size)
-            self._cursor[rows] = sub._cursor
-            t = 1.0 + c * x
-            v = t * t * t
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
-            out[rows] = np.where(todo[rows] & ok, d * v, out[rows])
-            todo[rows] &= ~ok
-            rows = rows[todo[rows].any(axis=1)]
+        step = max(1, _ROUND_VALUES // d.size)  # rows per block
+        for first in range(0, self._seed.size, step):
+            rows = np.arange(first, min(first + step, self._seed.size))
+            while rows.size:
+                # a round draws words only for the rows with an entry still open
+                sub = object.__new__(SeededStream)
+                sub._lead, sub._seed, sub._cursor = rows.shape, self._seed[rows], self._cursor[rows]
+                x, u = sub.standard_normal(d.size), sub.uniform_open(d.size)
+                self._cursor[rows] = sub._cursor
+                t = 1.0 + c * x
+                v = t * t * t
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ok = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
+                out[rows] = np.where(todo[rows] & ok, d * v, out[rows])
+                todo[rows] &= ~ok
+                rows = rows[todo[rows].any(axis=1)]
         return out.reshape(self._lead + a.shape)
 
     def wishart_factor(self, K: int, N: int) -> np.ndarray:

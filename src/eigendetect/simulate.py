@@ -43,7 +43,11 @@ unit complex normal (Dumitriu & Edelman 2002; Bloemendal & Virag 2013).  The
 source enters only through ||z||^2, drawn per modulation as :func:`_row_norm2`
 states.
 These batches take lambda_min and lambda_max of the tridiagonal
-sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.
+sigma_v2 B B^T / N by Sturm-count bisection, with no Gram matrix.  After its
+first sweeps the bisection tests regula-falsi points of det(T - s I) rather
+than bit midpoints; the count is monotone in s, so it returns the doubles of
+bisecting on bit midpoints alone, in about a third of the sweeps (see
+:func:`_tridiagonal_extremes`).
 
 The channel is held fixed across the trials of a batch (one coherent
 sensing epoch); ``redraw_channel=True`` redraws it per trial with the
@@ -52,6 +56,7 @@ per-source received powers preserved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,6 +87,12 @@ SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
 WISHART_TAG = 0x6A09E667F3BCC908
 _RETRY_TAG = 0x243F6A8885A308D3
+# _tridiagonal_extremes: bit-midpoint sweeps before the first regula-falsi test point; the
+# sweeps over which a bracket must halve in bits to keep off its bit midpoint; the rows
+# per block of the pivot product
+_PREFIX = 10
+_HALVING = 4
+_RESCALE = 16
 # about this many bytes of draws per chunk of trials
 _CHUNK_BYTES = 1 << 19
 
@@ -390,11 +401,13 @@ def _trial_draw(design, scenario, sigma_v2, redraw_channel):
             norm2 = 0.0 if scenario is None else _row_norm2(N, scenario.modulation,
                                                             seeds ^ SIGNAL_TAG)
             stream = SeededStream(seeds ^ WISHART_TAG)
-            g = stream.wishart_bidiagonal(K, N, np.sqrt(spike * norm2))
-            x2, y2 = g[:, :K], g[:, K:]
-            diag = x2.copy()
-            diag[:, 1:] += y2
-            lam_min, lam_max = _tridiagonal_extremes(diag, x2[:, :-1] * y2)
+            # diag and offsq are built as rows of C entries, the layout the solver sweeps,
+            # and go in as their transposes, so that it copies neither
+            g = stream.wishart_bidiagonal(K, N, np.sqrt(spike * norm2)).T
+            diag, offsq = g[:K].copy(), np.multiply(g[: K - 1], g[K:], order="C")
+            diag[1:] += g[K:]
+            del g  # freed before the solver's arrays
+            lam_min, lam_max = _tridiagonal_extremes(diag.T, offsq.T)
             return lam_min * scale, lam_max * scale
 
         return draw, 8 * (2 * K - 1)
@@ -437,27 +450,46 @@ def _tridiagonal_extremes(diag, offsq):
     eigenvalues below s, a pivot smaller than ``pivmin`` in magnitude counts as
     ``-pivmin`` (so a zero pivot counts as negative and the next one stays finite), and
     the search starts from Gershgorin's interval widened by ``dstebz``'s fudge (its lower
-    end held at 0).  Both extremes of every row bisect together on the bit patterns of
-    non-negative doubles until each interval is two adjacent doubles, a fixed point of
-    the step, so a row's result does not depend on the other rows.
+    end held at 0).  Each sweep tests one point inside each extreme's bracket of every
+    row, and the count moves one end of the bracket to it, until each bracket is two
+    adjacent non-negative doubles.  The count is monotone in s (Demmel, Dhillon & Ren
+    1995), so which points are tested changes no double returned, and neither do the
+    other rows: the result is that of bisecting on bit midpoints alone.
+
+    Test points: the first ``_PREFIX`` sweeps bisect on bits.  Then a bracket tests the
+    regula-falsi point of f = +-det(T - s I), signed so that f > 0 below its extreme
+    and f < 0 above (:func:`_pivot_det`, from the same sweep's pivots), held strictly
+    inside; an end kept twice in a row has its f scaled by 1 - f_new / f_old of the end
+    that moved, or by 1/2 where that is not in (0, 1) (Anderson & Bjorck 1973).  A
+    bracket bisects on bits instead whenever its ends' f do not straddle 0 (another
+    eigenvalue inside, say) or are not finite, or it did not halve over the last
+    ``_HALVING`` sweeps, so it halves at least once every ``_HALVING + 1`` sweeps.
     """
     K = diag.shape[1]
-    a, e2 = diag.T[:, None, :], offsq.T[:, None, :]  # K x 1 x C, against 2 x C brackets
+    a, e2 = np.ascontiguousarray(diag.T), np.ascontiguousarray(offsq.T)  # rows of C entries
     e, radius = np.sqrt(e2), np.zeros_like(a)
     radius[:-1] += e
     radius[1:] += e
     lo, hi = np.min(a - radius, axis=0), np.max(a + radius, axis=0)
+    del e, radius  # freed before the copy below
     pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=0))
     fudge = 2.1 * np.finfo(float).eps * K * np.maximum(np.abs(lo), hi)
-    lo = np.maximum(lo - fudge - 4.2 * pivmin, 0.0).repeat(2, axis=0).view(np.uint64)
-    hi = (hi + fudge + 2.1 * pivmin).repeat(2, axis=0).view(np.uint64)
+    lo = np.tile(np.maximum(lo - fudge - 4.2 * pivmin, 0.0), (2, 1)).view(np.uint64)
+    hi = np.tile(hi + fudge + 2.1 * pivmin, (2, 1)).view(np.uint64)
+    # K - 1 x 2 x C, one copy per extreme, so that no division broadcasts
+    e2 = e2[:, None, :].repeat(2, axis=1)
 
     q, ratio = np.empty((K,) + lo.shape), np.empty(lo.shape)
     rows = list(zip(q[1:], q[:-1], e2))
+    blocks = [q[i : i + _RESCALE] for i in range(0, K, _RESCALE)]
+    spare = np.empty(blocks[0].shape)
+    # det(T - s I) has the sign of (-1)^(eigenvalues below s): f flips it for lambda_max
+    sign = np.array([[1.0], [1.0 if K % 2 else -1.0]])
 
     def sweep(s, guard):
         """The pivots of T - s I into q, with or without the pivmin guard."""
-        np.subtract(a, s, out=q)
+        np.subtract(a, s[0], out=q[:, 0])
+        np.subtract(a, s[1], out=q[:, 1])
         for q_i, q_prev, e2_prev in rows:
             if guard:
                 np.copyto(q_prev, -pivmin, where=np.abs(q_prev) < pivmin)
@@ -466,21 +498,59 @@ def _tridiagonal_extremes(diag, offsq):
         if guard:
             np.copyto(q[-1], -pivmin, where=np.abs(q[-1]) < pivmin)
 
-    below = np.empty(lo.shape, dtype=bool)
     pivmax = pivmin.max()
+    one = np.uint64(1)
+    below, moved = np.empty(lo.shape, dtype=bool), np.zeros(lo.shape, dtype=bool)
+    m_lo = m_hi = np.full(lo.shape, np.nan)
+    E_lo = E_hi = np.zeros(lo.shape, dtype=np.int32)
+    widths = [hi - lo] * _HALVING
     with np.errstate(all="ignore"):
-        while (hi - lo > 1).any():
-            mid = (lo + hi) >> np.uint64(1)
-            sweep(mid.view(float), guard=False)
+        for n in itertools.count():
+            width = hi - lo
+            if not (width > one).any():
+                break
+            test = (lo + hi) >> one
+            if n >= _PREFIX:
+                # lo + t (hi - lo) for t = f_lo / (f_lo - f_hi), in [0, 1] when f_lo and f_hi
+                # straddle 0, held strictly inside the bracket
+                t = m_lo / (m_lo - np.ldexp(m_hi, E_hi - E_lo))
+                lo_s, hi_s = lo.view(float), hi.view(float)
+                point = (lo_s + t * (hi_s - lo_s)).view(np.uint64)
+                point = np.minimum(np.maximum(point, lo + one), hi - one)
+                falsi = (t >= 0.0) & (t <= 1.0) & (width > one) & (width <= widths[0] >> one)
+                test = np.where(falsi, point, test)
+            widths = widths[1:] + [width]
+            sweep(test.view(float), guard=False)
             # the unguarded sweep is the guarded one unless some pivot needed the guard
-            if not np.abs(q).min() >= pivmax:
-                sweep(mid.view(float), guard=True)
-            # a negative pivot per eigenvalue below mid: any for lambda_min, all for lambda_max
+            if not all(np.abs(b, out=spare[: len(b)]).min() >= pivmax for b in blocks):
+                sweep(test.view(float), guard=True)
+            # a negative pivot per eigenvalue below the test point: any for lambda_min, all
+            # for lambda_max
             np.less(q[:, 0].min(axis=0), 0.0, out=below[0])
             np.less(q[:, 1].max(axis=0), 0.0, out=below[1])
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
+            m, E = _pivot_det(q)
+            m *= sign
+            # an end kept twice in a row scales its f by 1 - f_new / f_old of the end that
+            # moved, where that lies in (0, 1), else by 1/2
+            kept = np.where(below, m_lo, m_hi)
+            scale = 1.0 - np.ldexp(m / np.where(below, m_hi, m_lo),
+                                   E - np.where(below, E_hi, E_lo))
+            scale = np.where((scale > 0.0) & (scale < 1.0), scale, 0.5)
+            kept = np.where(below == moved, scale * kept, kept)
+            m_lo, m_hi = np.where(below, kept, m), np.where(below, m, kept)
+            E_lo, E_hi = np.where(below, E_lo, E), np.where(below, E, E_hi)
+            moved, below = below, moved
+            lo, hi = np.where(moved, lo, test), np.where(moved, test, hi)
     return lo.view(float)
+
+
+def _pivot_det(q):
+    """det(T - s I) = m 2^E from the pivots q (K x ...) of T - s I, as ``(m, E)`` over q's
+    other axes: the rows are multiplied in blocks of ``_RESCALE`` and each block's product is
+    split by frexp, so nothing overflows for K below about 1000 ``_RESCALE``."""
+    m, E = np.frexp(np.stack([np.multiply.reduce(q[i : i + _RESCALE])
+                              for i in range(0, len(q), _RESCALE)]))
+    return np.prod(m, axis=0), E.sum(axis=0, dtype=np.int32)
 
 
 def ks_distance(batch, cdf) -> float:

@@ -68,6 +68,7 @@ _N_POINTS = 1601
 _INV_H = (_N_POINTS - 1) / (_X_RIGHT - _X_LEFT)  # grid points per unit of x
 _U0 = 8.0  # matching point where q is set to -Ai
 _RTOL = 1e-10  # DOP853 relative tolerance of the reference solve
+_BLOCK = 1 << 13  # points per block of a table evaluation
 
 _AIRY_DOMAIN = 200.0
 
@@ -131,8 +132,9 @@ class TracyWidomTable:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        f = _exp_hermite(self._log_cdf, x)
-        out = np.where(x < _X_LEFT, 0.0, np.where(x > _X_RIGHT, 1.0, f))
+        out = np.asarray(_exp_hermite(self._log_cdf, x))  # a 0-d x gives a scalar
+        out[x < _X_LEFT] = 0.0
+        out[x > _X_RIGHT] = 1.0
         return out if x.ndim else float(out)
 
     def pdf(self, x):
@@ -244,7 +246,14 @@ def _hermite(y, slope):
 
 
 def _exp_hermite(coef, x):
-    """exp of the Hermite interpolant at x clamped to the grid (nan stays nan), by Horner."""
+    """exp of the Hermite interpolant at x clamped to the grid (nan stays nan), by Horner;
+    a larger x goes _BLOCK points at a time, so that its temporaries are one block each."""
+    if np.size(x) > _BLOCK:
+        flat = np.ravel(x)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _BLOCK):
+            out[lo : lo + _BLOCK] = _exp_hermite(coef, flat[lo : lo + _BLOCK])
+        return out.reshape(np.shape(x))
     u = (np.minimum(np.maximum(x, _X_LEFT), _X_RIGHT) - _X_LEFT) * _INV_H
     i = np.fmin(u, _N_POINTS - 2).astype(np.intp)  # fmin maps nan to the last interval
     t = u - i

@@ -38,6 +38,7 @@ from eigendetect.simulate import (
 )
 from eigendetect.spiked import DetectorDesign, Modulation, Scenario, snr, spike_spectrum
 
+from reference_bisection import bisect_extremes
 from reference_sampler import NOISE_TAG, direct_trials
 
 
@@ -1004,6 +1005,62 @@ def test_tridiagonal_extremes_guard_a_zero_pivot():
     w = np.linalg.eigvalsh(_dense_tridiagonal(diag, offsq))[0]
     np.testing.assert_allclose(lam, w[[0, -1]], rtol=1e-12, atol=0)
     assert list(lam) == [np.nextafter(0.5, 0.0), np.nextafter(3.0, 0.0)]
+
+
+# The regula-falsi test points against the bit-midpoint bisection they replaced
+# (reference_bisection.py), bit for bit.  Declared before any run: SOLVER_SHAPES plus
+# (200, 1000), where det(T - s I) overflows a double unless rescaled, times SOLVER_SPIKES,
+# SOLVER_TRIALS bidiagonals each from the trial seeds of batch seed 29, and at most
+# _PREFIX + (_HALVING + 1) 64 sweeps with an f that points every step at the lower end.
+
+BISECTION_SEED = 29
+
+
+def _bisection_cases(shapes):
+    seeds = trial_seed(BISECTION_SEED, np.arange(SOLVER_TRIALS, dtype=np.uint64))
+    for (K, N), t1 in itertools.product(shapes, SOLVER_SPIKES):
+        g = SeededStream(seeds).wishart_bidiagonal(K, N, 0.0)
+        g[:, 0] *= t1
+        yield (K, N, t1), _tridiagonal_of(g[:, :K], g[:, K:])
+
+
+def test_tridiagonal_extremes_are_the_bisection_doubles():
+    for case, (diag, offsq) in _bisection_cases(SOLVER_SHAPES + ((200, 1000),)):
+        new, old = _tridiagonal_extremes(diag, offsq), bisect_extremes(diag, offsq)
+        assert new.shape == old.shape == (2, SOLVER_TRIALS)
+        assert new.tobytes() == old.tobytes(), case
+
+
+def test_tridiagonal_extremes_bound_their_sweeps(monkeypatch):
+    """One _pivot_det call per sweep.  The regula-falsi points take fewer sweeps than bit
+    midpoints alone (a _PREFIX past the last sweep), and an f that straddles 0 where it
+    should but always points at the bracket's lower end (t = 2^-2000) changes no double and
+    stays within the halving bound."""
+    real, calls = simulate._pivot_det, []
+
+    def counted(q):
+        calls.append(len(q))
+        return real(q)
+
+    def lower_end(q):
+        calls.append(len(q))
+        negative = np.count_nonzero(q < 0.0, axis=0)
+        past = np.stack([negative[0] > 0, negative[1] == len(q)])  # the point is above the extreme
+        return np.where(negative % 2, -1.0, 1.0), np.where(past, 1000, -1000).astype(np.int32)
+
+    bound = simulate._PREFIX + (simulate._HALVING + 1) * 64
+    runs = {"falsi": (counted, simulate._PREFIX), "bits": (counted, bound),
+            "misled": (lower_end, simulate._PREFIX)}
+    for case, (diag, offsq) in _bisection_cases(((2, 10), (50, 1000))):
+        old, sweeps = bisect_extremes(diag, offsq).tobytes(), {}
+        for name, (pivot_det, prefix) in runs.items():
+            monkeypatch.setattr(simulate, "_pivot_det", pivot_det)
+            monkeypatch.setattr(simulate, "_PREFIX", prefix)
+            calls.clear()
+            assert _tridiagonal_extremes(diag, offsq).tobytes() == old, (case, name)
+            sweeps[name] = len(calls)
+        assert sweeps["falsi"] < sweeps["bits"] <= 64, (case, sweeps)
+        assert sweeps["bits"] < sweeps["misled"] <= bound, (case, sweeps)
 
 
 def test_gamma_rounds_consume_whole_rounds():
