@@ -165,14 +165,15 @@ class RatioLaw:
     def cdf(self, gamma):
         """F_T(gamma); zero for gamma <= 1 (eigenvalue ordering)."""
         g = np.atleast_1d(np.asarray(gamma, float))
-        out = np.clip(default_table().cdf(self._den_z(g, self._y)) @ self._wy, 0.0, 1.0)
+        # one dot per gamma: a matrix product would round by the call's row count
+        out = np.clip(np.vecdot(default_table().cdf(self._den_z(g, self._y)), self._wy), 0.0, 1.0)
         out[g <= 1.0] = 0.0
         return out if np.ndim(gamma) else float(out[0])
 
     def pdf(self, t):
         """Ratio density int f_num(y) f_TW((c_den - y/t)/s_den) y / (t^2 s_den) dy, for t > 1."""
         t_arr = np.atleast_1d(np.asarray(t, float))
-        out = default_table().pdf(self._den_z(t_arr, self._y)) @ (self._y * self._wy)
+        out = np.vecdot(default_table().pdf(self._den_z(t_arr, self._y)), self._y * self._wy)
         out /= np.maximum(t_arr, 1.0) ** 2 * self.den_sigma
         out[t_arr <= 1.0] = 0.0
         return out if np.ndim(t) else float(out[0])
@@ -185,7 +186,7 @@ class RatioLaw:
         y2, wy2 = self._rule(2 * _QUAD_NODES)
         n, y = self._y.size, np.concatenate((self._y, y2))  # both rules in one table call
         f = default_table().cdf(self._den_z(np.array([self.center_ratio()]), y))[0]
-        a, b = float(f[:n] @ self._wy), float(f[n:] @ wy2)
+        a, b = float(np.vecdot(f[:n], self._wy)), float(np.vecdot(f[n:], wy2))
         if abs(a - b) > _SELF_CHECK_TOL:
             raise NumericError(
                 f"ratio-law quadrature self-check failed: |{a!r} - {b!r}| > {_SELF_CHECK_TOL}"

@@ -8,8 +8,6 @@ Seed discipline (all pinned, see :mod:`eigendetect.rng` for the word
 stream itself):
 
 * trial ``i`` of a batch uses ``trial_seed(seed, i) = seed XOR mix(i)``;
-  a trial whose eigensolve fails is redrawn once from
-  ``trial_seed XOR _RETRY_TAG``;
 * a trial draws from ``trial_seed XOR WISHART_TAG`` one real bidiagonal
   ``B`` for a noise-only or one-source batch, otherwise one Bartlett factor
   ``L`` of Wishart(N, I_{K+P});
@@ -24,8 +22,7 @@ over its array of trial indices, each draw above is made once for that
 whole array (see :class:`eigendetect.rng.SeededStream`), and the Gram
 matrices are factored and solved as one stack (the tridiagonals are
 bisected as one array).  Row t of a chunk is bit for bit trial t's own
-draw, so the chunk size changes no output; a chunk whose eigensolve fails
-is redone one trial at a time.
+draw, so the chunk size changes no output.
 
 With S = Sigma^(1/2) Z, Y / sigma_v = W X for W = [H Sigma^(1/2) / sigma_v, I_K]
 and X = [Z; V / sigma_v].  Gaussian X is white of dimension K + P, so X X^H
@@ -86,7 +83,6 @@ __all__ = [
 SIGNAL_TAG = 0x417E4AD3C2A9D96B
 CHANNEL_TAG = 0x9C8F12E07B3D5A17
 WISHART_TAG = 0x6A09E667F3BCC908
-_RETRY_TAG = 0x243F6A8885A308D3
 # _tridiagonal_extremes: bit-midpoint sweeps before the first regula-falsi test point; the
 # sweeps over which a bracket must halve in bits to keep off its bit midpoint; the rows
 # per block of the pivot product
@@ -294,7 +290,7 @@ def scenario_from_component_snrs(
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """Per-trial extreme eigenvalues and ratio statistics of one MC run."""
+    """Per-trial extreme eigenvalues of one MC run, and their ratio statistics."""
 
     design: DetectorDesign
     scenario: Scenario | None
@@ -303,11 +299,9 @@ class TrialBatch:
     sigma_v2: float
     lambda_max: np.ndarray
     lambda_min: np.ndarray
-    t_stat: np.ndarray
-    retries: int
 
     def __post_init__(self):
-        for name in ("lambda_max", "lambda_min", "t_stat"):
+        for name in ("lambda_max", "lambda_min"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (self.trials,) or not np.all(np.isfinite(arr)):
                 raise DomainError(f"TrialBatch: {name} must have one finite entry per trial")
@@ -315,6 +309,11 @@ class TrialBatch:
             object.__setattr__(self, name, arr)
         if not (np.all(self.lambda_min > 0.0) and np.all(self.lambda_max >= self.lambda_min)):
             raise DomainError("TrialBatch: requires lambda_max >= lambda_min > 0")
+
+    @property
+    def t_stat(self) -> np.ndarray:
+        """The ratio statistic lambda_max / lambda_min of each trial."""
+        return self.lambda_max / self.lambda_min
 
 
 def run_trials(
@@ -328,7 +327,9 @@ def run_trials(
     """Run seeded MC trials of the ratio detector; bit-reproducible per seed in [0, 2^64).
 
     ``sigma_v2`` sets the noise floor for noise-only batches; with a
-    scenario supplied, its own noise variance is used.
+    scenario supplied, its own noise variance is used.  A batch whose eigensolve
+    raises, or leaves some lambda_min <= 0 or lambda_max not finite, raises
+    ``NumericError``.
     """
     if not (_integers(trials) and trials >= 1):
         raise DomainError("run_trials: trials must be an integer >= 1")
@@ -345,31 +346,18 @@ def run_trials(
     np.empty(1 << 22, np.uint8)
     lam_max = np.empty(trials)
     lam_min = np.empty(trials)
-
-    def solved(rows, seeds):
-        try:
-            lam_min[rows], lam_max[rows] = draw(seeds)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    failed = []
     for lo in range(0, trials, chunk):
         hi = min(lo + chunk, trials)
         seeds = trial_seed(seed, np.arange(lo, hi, dtype=np.uint64))
-        if solved(slice(lo, hi), seeds):
-            continue
-        # one trial at a time; a failed trial is redrawn once from trial_seed ^ _RETRY_TAG
-        for i in range(lo, hi):
-            one = seeds[i - lo : i - lo + 1]
-            if solved(slice(i, i + 1), one):
-                continue
-            failed.append(i)
-            retried = solved(slice(i, i + 1), one ^ _RETRY_TAG)
-            if not retried or len(failed) > max(1, trials // 1000):
-                raise NumericError(
-                    f"run_trials: eigensolver failed on {len(failed)} of {trials} trials"
-                )
+        try:
+            lam_min[lo:hi], lam_max[lo:hi] = draw(seeds)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"run_trials: eigensolver failed in trials {lo}..{hi - 1}") from exc
+    # eigvalsh can round lambda_min to <= 0 without raising (at very high SNR, say)
+    resolved = (lam_min > 0.0) & (lam_max < math.inf)
+    if not resolved.all():
+        raise NumericError(f"run_trials: eigensolve left lambda_min <= 0 or lambda_max not finite "
+                           f"in {trials - np.count_nonzero(resolved)} of {trials} trials")
 
     return TrialBatch(
         design=design,
@@ -379,8 +367,6 @@ def run_trials(
         sigma_v2=float(sigma_v2),
         lambda_max=lam_max,
         lambda_min=lam_min,
-        t_stat=lam_max / lam_min,
-        retries=len(failed),
     )
 
 
@@ -581,16 +567,12 @@ def dump_batch_csv(path, batch: TrialBatch) -> None:
         mod, rho = batch.scenario.modulation.value, snr(batch.scenario)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
-            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g retries=%d\n"
-            % (batch.design.K, batch.design.N, batch.seed, batch.trials, mod, rho,
-               batch.retries)
+            "# K=%d N=%d seed=%d trials=%d modulation=%s snr=%.10g\n"
+            % (batch.design.K, batch.design.N, batch.seed, batch.trials, mod, rho)
         )
         fh.write("trial,lambda_max,lambda_min,t\n")
-        for i in range(batch.trials):
-            fh.write(
-                "%d,%.12e,%.12e,%.12e\n"
-                % (i, batch.lambda_max[i], batch.lambda_min[i], batch.t_stat[i])
-            )
+        for i, row in enumerate(zip(batch.lambda_max, batch.lambda_min, batch.t_stat)):
+            fh.write("%d,%.12e,%.12e,%.12e\n" % (i, *row))
 
 
 def dump_cdf_comparison_csv(path, batch: TrialBatch, cdf) -> None:

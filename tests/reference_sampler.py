@@ -36,5 +36,4 @@ def direct_trials(design, scenario=None, trials=1000, seed=0, sigma_v2=1.0, redr
             Y = H @ gen_signal(P, N, scenario.modulation, scenario.sigma2, seeds ^ SIGNAL_TAG) + Y
         w = np.linalg.eigvalsh((Y @ Y.conj().swapaxes(-1, -2)) / N)
         lam_min[lo : lo + seeds.size], lam_max[lo : lo + seeds.size] = w[:, 0], w[:, -1]
-    return TrialBatch(design, scenario, int(seed), trials, float(sigma_v2), lam_max, lam_min,
-                      lam_max / lam_min, retries=0)
+    return TrialBatch(design, scenario, int(seed), trials, float(sigma_v2), lam_max, lam_min)

@@ -75,7 +75,7 @@ def law_cdf(design, hypothesis, t1=None):
 def prefix(batch, m):
     """The first m trials of a batch: the batch of m trials with the same inputs."""
     return dataclasses.replace(batch, trials=m, lambda_max=batch.lambda_max[:m],
-                               lambda_min=batch.lambda_min[:m], t_stat=batch.t_stat[:m])
+                               lambda_min=batch.lambda_min[:m])
 
 
 @pytest.fixture(scope="module")

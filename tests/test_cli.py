@@ -230,7 +230,7 @@ def test_simulate_h0_outputs_and_determinism(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == first
     assert (tmp_path / "d.csv").read_bytes() == dump_first
     header = (tmp_path / "d.csv").read_text().splitlines()[0]
-    assert header == "# K=20 N=400 seed=7 trials=300 modulation=none snr=0 retries=0"
+    assert header == "# K=20 N=400 seed=7 trials=300 modulation=none snr=0"
 
 
 def test_simulate_with_scenario_file(tmp_path, capsys):
@@ -278,6 +278,18 @@ def test_simulate_wishart_sampler_takes_k_above_n_minus_p(tmp_path, capsys):
         rc, out, err = run_cli(capsys, *args)
         assert rc == 0 and out.startswith("ks ") and err == ""
         assert run_cli(capsys, *args) == (0, out, "")
+
+
+def test_simulate_unresolved_eigensolve_exits_4(tmp_path, capsys):
+    # two sources so strong that eigvalsh rounds lambda_min to <= 0 in some trials
+    doc = {"K": 9, "N": 10, "sigma_v2": 1.0, "modulation": "gaussian", "Sigma": [1e14, 5e13],
+           "H": [[[1, 0], [0, 1]] if k % 2 == 0 else [[0, 1], [1, 0]] for k in range(9)]}
+    scenario = tmp_path / "strong.json"
+    scenario.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--trials", "200",
+                           "--seed", "1")
+    assert rc == 4 and out == ""
+    assert err.startswith("numeric error: run_trials: eigensolve left lambda_min <= 0")
 
 
 def test_simulate_checks_the_law_before_any_trial(monkeypatch, capsys):

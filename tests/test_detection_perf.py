@@ -142,6 +142,21 @@ def test_ratio_pdf_matches_cdf_derivative():
     assert law.pdf(0.9) == 0.0
 
 
+@pytest.mark.parametrize("K, N", [(50, 1000), (2, 10)])
+@pytest.mark.parametrize("t1", [None, 6.0])
+def test_ratio_law_bits_do_not_depend_on_the_call_shape(K, N, t1):
+    # one gamma at a time, or in blocks, gives the whole-array call's doubles (a matrix
+    # product over the gamma x node grid rounded them by the call's row count)
+    law = RatioLaw(DetectorDesign(K, N, 1), t1)
+    g = np.linspace(1.0, 3.0 * law.center_ratio(), 3001)
+    for f in (law.cdf, law.pdf):
+        whole = f(g)
+        assert np.array_equal([f(x) for x in g], whole)
+        for b in (2, 3, 5, 7, 33):
+            assert np.array_equal(np.concatenate([f(g[i : i + b]) for i in range(0, g.size, b)]),
+                                  whole)
+
+
 def test_sigma_v2_never_enters_the_laws():
     # analytical laws carry no noise-variance parameter; under a signal the
     # only entry point is t1, unchanged by a joint power rescale

@@ -23,7 +23,6 @@ from eigendetect.simulate import (
     SIGNAL_TAG,
     TrialBatch,
     WISHART_TAG,
-    _RETRY_TAG,
     _trial_draw,
     _tridiagonal_extremes,
     dump_batch_csv,
@@ -402,48 +401,23 @@ def _eigvalsh_batches():
                scenario_from_component_snrs(8, (0.3, 0.2), modulation=modulation, seed=2))
 
 
-def test_batch_retries_a_failed_eigensolve(monkeypatch):
+def test_batch_eigensolver_failure_raises(monkeypatch):
+    # one trial whose eigensolve raises fails its batch
     for d, sc in _eigvalsh_batches():
-        clean = run_trials(d, sc, trials=10, seed=21)
-        trial_3 = _gram_matrices(monkeypatch, d, sc, {trial_seed(21, 3)})
-        batches = []
-        for _ in range(2):
-            _flaky_eigvalsh(monkeypatch, trial_3)  # the first attempt of trial 3
-            batches.append(run_trials(d, sc, trials=10, seed=21))
-            monkeypatch.undo()
-        a, b = batches
-        assert np.array_equal(a.t_stat, b.t_stat)
-        assert (clean.retries, a.retries) == (0, 1)
-        # trial 3 is redrawn from trial_seed ^ _RETRY_TAG; the others are untouched
-        draw, _ = _trial_draw(d, sc, 1.0, False)
-        (lo,), (hi,) = draw(np.array([trial_seed(21, 3) ^ _RETRY_TAG], dtype=np.uint64))
-        assert (a.lambda_min[3], a.lambda_max[3]) == (lo, hi)
-        assert (lo, hi) != (clean.lambda_min[3], clean.lambda_max[3])
-        others = np.arange(10) != 3
-        assert np.array_equal(a.t_stat[others], clean.t_stat[others])
-
-    def no_eigensolve(a):
-        raise np.linalg.LinAlgError("the tridiagonal route calls no eigvalsh")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-    d = DetectorDesign(8, 64, 1)
-    for sc in (None, *(scenario_from_snr(8, 0.5, modulation=m, seed=2)
-                       for m in ("gaussian",) + EQ_MODULATIONS)):
-        assert run_trials(d, sc, trials=10, seed=21).retries == 0
-
-
-@pytest.mark.parametrize(
-    "failing_calls",  # the trial seeds whose eigensolve fails
-    [{trial_seed(21, 0), trial_seed(21, 1)},  # two failed trials (more than max(1, 10 // 1000))
-     {trial_seed(21, 0), trial_seed(21, 0) ^ _RETRY_TAG}],  # a failed retry
-)
-def test_batch_eigensolver_failures_raise(monkeypatch, failing_calls):
-    for d, sc in _eigvalsh_batches():
-        failing = _gram_matrices(monkeypatch, d, sc, failing_calls)
+        failing = _gram_matrices(monkeypatch, d, sc, {trial_seed(21, 3)})
         _flaky_eigvalsh(monkeypatch, failing)
         with pytest.raises(NumericError, match="eigensolver failed"):
             run_trials(d, sc, trials=10, seed=21)
         monkeypatch.undo()
+
+
+def test_batch_with_an_unresolved_lambda_min_raises():
+    # two sources so strong that eigvalsh rounds lambda_min to <= 0, without raising, in
+    # about a third of the trials
+    H = np.array([[1, 1j] if k % 2 == 0 else [1j, 1] for k in range(9)])
+    sc = Scenario(H, [1e14, 5e13], 1.0)
+    with pytest.raises(NumericError, match=r"lambda_min <= 0 .* in \d+ of 2000 trials"):
+        run_trials(DetectorDesign(9, 10, 2), sc, trials=2000, seed=1)
 
 
 # sha256 over the t_stat bytes of one batch per trial count, at (8, 64) (a wide/ case at
@@ -751,23 +725,27 @@ def test_sampler_choice_follows_the_modulation(monkeypatch):
     # K + P = 11 is 11 x 10, lower-trapezoidal)
     stacks, draws = _eigvalsh_stacks(monkeypatch), _bidiagonal_draws(monkeypatch)
     d = DetectorDesign(6, 40, 1)
-    for sc in (None, scenario_from_snr(6, 0.5, seed=1),
-               scenario_from_snr(6, 0.5, modulation="qpsk", seed=1)):
-        assert run_trials(d, sc, trials=3, seed=1).retries == 0
-    assert (len(draws), stacks) == (3, [])
+    one_source = [scenario_from_snr(6, 0.5, modulation=m, seed=1)
+                  for m in ("gaussian",) + EQ_MODULATIONS]
+    for sc in (None, *one_source):
+        run_trials(d, sc, trials=3, seed=1)
+    assert (len(draws), stacks) == (6, [])  # no eigensolve
     d = DetectorDesign(9, 10, 2)
     for modulation in ("qpsk", "gaussian"):
         sc = scenario_from_component_snrs(9, (0.5, 0.3), modulation=modulation, seed=1)
-        assert run_trials(d, sc, trials=3, seed=1).retries == 0
-    assert (len(draws), [a.shape for a in stacks]) == (3, [(3, 9, 9)] * 2)
+        run_trials(d, sc, trials=3, seed=1)
+    assert (len(draws), [a.shape for a in stacks]) == (6, [(3, 9, 9)] * 2)
 
 
-def test_wishart_sampler_factors_a_rank_deficient_signal():
+def test_wishart_sampler_factors_a_rank_deficient_signal(monkeypatch):
     # at N = 5 two QPSK rows are collinear in 1 trial of 256, and S S^H is singular
     d = DetectorDesign(3, 5, 2)
     sc = scenario_from_component_snrs(3, (0.5, 0.3), modulation="qpsk", seed=1)
+    stacks = _eigvalsh_stacks(monkeypatch)
     b = run_trials(d, sc, trials=2000, seed=4)
-    assert b.retries == 0
+    monkeypatch.undo()
+    assert sum(len(a) for a in stacks) == b.trials  # each trial solved once, in its chunk
+    assert np.array_equal(b.t_stat, b.lambda_max / b.lambda_min)
     grams = [S @ S.conj().T for S in (gen_signal(2, 5, "qpsk", sc.sigma2,
                                                  trial_seed(4, i) ^ SIGNAL_TAG)
                                       for i in range(2000))]
@@ -1180,8 +1158,10 @@ def test_ks_distance_rejects_a_bad_cdf():
 def test_batch_rejects_non_finite_eigenvalues():
     d = DetectorDesign(10, 100, 1)
     fields = dict(design=d, scenario=None, seed=0, trials=2, sigma_v2=1.0,
-                  lambda_min=[1.0, 1.0], t_stat=[2.0, 2.0], retries=0)
-    TrialBatch(lambda_max=[2.0, 2.0], **fields)
+                  lambda_min=[1.0, 1.0])
+    assert list(TrialBatch(lambda_max=[2.0, 3.0], **fields).t_stat) == [2.0, 3.0]
+    with pytest.raises(TypeError):  # t_stat follows from the eigenvalues
+        TrialBatch(lambda_max=[2.0, 2.0], t_stat=[5.0, 7.0], **fields)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
             TrialBatch(lambda_max=[2.0, bad], **fields)
@@ -1198,7 +1178,7 @@ def test_dump_batch_csv(tmp_path):
     path = tmp_path / "batch.csv"
     dump_batch_csv(path, b)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2 retries=0"
+    assert lines[0] == "# K=10 N=100 seed=9 trials=20 modulation=qpsk snr=0.2"
     assert lines[1] == "trial,lambda_max,lambda_min,t"
     assert len(lines) == 22
     row = lines[2].split(",")
